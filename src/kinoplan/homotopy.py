@@ -12,8 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costmap import segment_is_free
+import numpy as np
+
+from .costmap import CHECK_STEP_M, CHECK_STEP_S
 from .geometry import ObstacleState, Vec2
+from .tracking import predict_position
 
 DETOUR_FACTOR = 2.0          # detour nodes sit at this multiple of the safety radius
 MAX_PATHS_EXAMINED = 200     # complete roadmap paths inspected before giving up
@@ -49,19 +52,20 @@ def winding_signature(
     Each increment is normalized to (-pi, pi], so a polyline cannot jump a
     winding discontinuously between consecutive waypoints.
     """
+    pts = [(w.x, w.y) for w in waypoints]
     windings = []
     for obs in obstacles:
-        c = obs.position
+        cx, cy = obs.position.x, obs.position.y
         total = 0.0
-        prev = waypoints[0] - c
-        if prev.norm() <= _CENTER_EPS:
+        px, py = pts[0][0] - cx, pts[0][1] - cy
+        if math.hypot(px, py) <= _CENTER_EPS:
             raise ValueError("waypoint coincides with an obstacle center")
-        for wp in waypoints[1:]:
-            cur = wp - c
-            if cur.norm() <= _CENTER_EPS:
+        for x, y in pts[1:]:
+            qx, qy = x - cx, y - cy
+            if math.hypot(qx, qy) <= _CENTER_EPS:
                 raise ValueError("waypoint coincides with an obstacle center")
-            total += math.atan2(prev.cross(cur), prev.dot(cur))
-            prev = cur
+            total += math.atan2(px * qy - py * qx, px * qx + py * qy)
+            px, py = qx, qy
         windings.append(total)
     return HomotopySignature(tuple(windings))
 
@@ -115,26 +119,85 @@ def _conflict_anchor(
     not where they are, so detours must be anchored there."""
     horizon = span / speed
     best_d = math.inf
-    best_t = 0.0
+    best = obs.position
     for k in range(41):
         t = horizon * k / 40.0
         f = speed * t / span
         px = start.x + direction.x * f
         py = start.y + direction.y * f
-        c = obs.position
-        cx = c.x + obs.velocity.x * t + 0.5 * obs.acceleration.x * t * t
-        cy = c.y + obs.velocity.y * t + 0.5 * obs.acceleration.y * t * t
-        d = math.hypot(px - cx, py - cy)
+        c = predict_position(obs, t)
+        d = math.hypot(px - c.x, py - c.y)
         if d < best_d:
             best_d = d
-            best_t = t
+            best = c
     if best_d > obs.safety_radius * factor:
         return None
-    t = best_t
-    return Vec2(
-        obs.position.x + obs.velocity.x * t + 0.5 * obs.acceleration.x * t * t,
-        obs.position.y + obs.velocity.y * t + 0.5 * obs.acceleration.y * t * t,
+    return best
+
+
+def _segments_clear(
+    ax: np.ndarray,
+    ay: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+    lengths: np.ndarray,
+    t_a: np.ndarray,
+    t_b: np.ndarray,
+    obstacles: Sequence[ObstacleState],
+    margin: float,
+) -> np.ndarray:
+    """Per-segment ``costmap.segment_is_free`` in one pass over all segments.
+
+    Each timed straight segment gets exactly the samples ``segment_is_free``
+    would take (``np.linspace`` spelled out), all segments' samples are
+    concatenated, and the clearance test runs on all obstacles at once.
+    """
+    if not obstacles:
+        return np.ones(len(ax), dtype=bool)
+    steps = np.maximum(
+        np.maximum(np.ceil(lengths / CHECK_STEP_M), np.ceil((t_b - t_a) / CHECK_STEP_S)), 1.0
+    ).astype(np.int64)
+    counts = steps + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    seg = np.repeat(np.arange(len(ax)), counts)
+    s = (np.arange(ends[-1]) - starts[seg]) * (1.0 / steps)[seg]
+    s[ends - 1] = 1.0
+    px = ax[seg] + (bx - ax)[seg] * s
+    py = ay[seg] + (by - ay)[seg] * s
+    times = t_a[seg] + (t_b - t_a)[seg] * s
+    t2 = times * times
+    # One row per obstacle: position, velocity, half acceleration, clearance.
+    o = np.array([
+        (ob.position.x, ob.position.y, ob.velocity.x, ob.velocity.y,
+         0.5 * ob.acceleration.x, 0.5 * ob.acceleration.y, ob.safety_radius + margin)
+        for ob in obstacles
+    ])[:, :, None]
+    cx = o[:, 0] + o[:, 2] * times + o[:, 4] * t2
+    cy = o[:, 1] + o[:, 3] * times + o[:, 5] * t2
+    ok = (np.hypot(px - cx, py - cy) > o[:, 6]).all(axis=0)
+    return np.logical_and.reduceat(ok, starts)
+
+
+def _free_matrix(
+    nodes: Sequence[Vec2],
+    lengths: Sequence[Sequence[float]],
+    obstacles: Sequence[ObstacleState],
+    margin: float,
+) -> np.ndarray:
+    """Symmetric mask of roadmap edges that clear every obstacle at time 0."""
+    n = len(nodes)
+    iu, ju = np.triu_indices(n, 1)
+    xs = np.array([p.x for p in nodes])
+    ys = np.array([p.y for p in nodes])
+    zero = np.zeros(len(iu))
+    pair_free = _segments_clear(
+        xs[iu], ys[iu], xs[ju], ys[ju], np.array(lengths)[iu, ju], zero, zero, obstacles, margin
     )
+    free = np.zeros((n, n), dtype=bool)
+    free[iu, ju] = pair_free
+    free[ju, iu] = pair_free
+    return free
 
 
 def _seed_time_clear(
@@ -144,13 +207,14 @@ def _seed_time_clear(
     speed: float,
 ) -> bool:
     """Would this polyline, traversed at constant ``speed``, dodge predictions?"""
-    t = 0.0
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        dt = a.distance_to(b) / speed
-        if not segment_is_free(obstacles, a, b, t, t + dt, margin):
-            return False
-        t += dt
-    return True
+    xs = np.array([w.x for w in waypoints])
+    ys = np.array([w.y for w in waypoints])
+    lengths = np.array([a.distance_to(b) for a, b in zip(waypoints[:-1], waypoints[1:])])
+    times = np.concatenate(([0.0], np.cumsum(lengths / speed)))
+    clear = _segments_clear(
+        xs[:-1], ys[:-1], xs[1:], ys[1:], lengths, times[:-1], times[1:], obstacles, margin
+    )
+    return bool(clear.all())
 
 
 def enumerate_seed_paths(
@@ -167,7 +231,11 @@ def enumerate_seed_paths(
 
     Builds a small roadmap (start, goal, two perpendicular detour points per
     obstacle), then enumerates loop-free roadmap paths in increasing length
-    order, deduplicating by signature. Classes whose paths are longer than
+    order, deduplicating by signature. The enumeration is A*-ordered: partial
+    paths are keyed by length so far plus the straight-line distance to the
+    goal, which never overestimates because every roadmap edge is straight,
+    so complete paths still arrive shortest first. It stops after
+    ``_MAX_HEAP_POPS`` heap pops. Classes whose paths are longer than
     ``LENGTH_CUTOFF_FACTOR`` times the shortest class are dropped: they are
     never competitive and ballooning detours would dominate the optimization
     budget.
@@ -184,23 +252,20 @@ def enumerate_seed_paths(
     nodes = [start, goal] + _detour_nodes(
         start, goal, obstacles, detour_factor, conflict_speed
     )
-    n = len(nodes)
-    free = [[False] * n for _ in range(n)]
-    lengths = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            ok = segment_is_free(obstacles, nodes[i], nodes[j], 0.0, 0.0, margin)
-            free[i][j] = free[j][i] = ok
-            d = nodes[i].distance_to(nodes[j])
-            lengths[i][j] = lengths[j][i] = d
+    coords = [p.as_tuple() for p in nodes]
+    lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
+    free = _free_matrix(nodes, lengths, obstacles, margin)
+    neighbors = [np.flatnonzero(row).tolist() for row in free]
+    to_goal = [row[1] for row in lengths]  # admissible: edges are straight
 
-    # Best-first enumeration of simple paths from node 0 (start) to node 1
-    # (goal); ties broken by lexicographic waypoint comparison so results are
+    # A*-ordered enumeration of simple paths from node 0 (start) to node 1
+    # (goal). Entries are (length + to_goal, waypoint key, node path, length);
+    # ties break by lexicographic waypoint comparison so results are
     # deterministic.
     kept: list[SeedPath] = []
     clear_flags: list[bool] = []
-    heap: list[tuple[float, tuple[tuple[float, float], ...], tuple[int, ...]]] = [
-        (0.0, (start.as_tuple(),), (0,))
+    heap: list[tuple[float, tuple[tuple[float, float], ...], tuple[int, ...], float]] = [
+        (to_goal[0], (coords[0],), (0,), 0.0)
     ]
     examined = 0
     pops = 0
@@ -212,10 +277,10 @@ def enumerate_seed_paths(
         return conflict_speed is None or all(clear_flags)
 
     while heap and not done() and examined < max_paths and pops < _MAX_HEAP_POPS:
-        length, key, path = heapq.heappop(heap)
+        bound, key, path, length = heapq.heappop(heap)
         pops += 1
-        if length > cutoff:
-            break  # increasing-length order: everything left is too long
+        if bound > cutoff:
+            break  # no path left on the heap can finish short enough
         last = path[-1]
         if last == 1:
             examined += 1
@@ -244,15 +309,15 @@ def enumerate_seed_paths(
                     kept[match] = SeedPath(waypoints, sig, length)
                     clear_flags[match] = True
             continue
-        for nxt in range(n):
-            if nxt in path or not free[last][nxt]:
+        for nxt in neighbors[last]:
+            if nxt in path:
                 continue
             new_length = length + lengths[last][nxt]
-            if new_length > cutoff:
+            new_bound = new_length + to_goal[nxt]
+            if new_bound > cutoff:
                 continue
             heapq.heappush(
-                heap,
-                (new_length, key + (nodes[nxt].as_tuple(),), path + (nxt,)),
+                heap, (new_bound, key + (coords[nxt],), path + (nxt,), new_length)
             )
     order = sorted(
         range(len(kept)),

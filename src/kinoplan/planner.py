@@ -203,14 +203,13 @@ def select_best(candidates: Sequence[CandidateInfo]) -> int:
 def plan_once(
     scenario: Scenario,
     obstacles: Sequence[ObstacleState],
-    t0: float = 0.0,
     start: Optional[Vec2] = None,
     threads: int = 1,
     on_accept=None,
 ) -> PlanResult:
     """Plan a full trajectory from ``start`` (default scenario start) to the goal.
 
-    ``obstacles`` are the tracked/known states valid at epoch ``t0``;
+    ``obstacles`` are the tracked/known states at the planning epoch;
     trajectory timestamps are offsets from that epoch.
     """
     tic = time.perf_counter()
@@ -403,7 +402,7 @@ def simulate_run(scenario: Scenario, seed: int = 0) -> SimTrace:
         est = _estimated_obstacles(scenario, tracks, t)
         known = tuple(o for o in est if o is not None)
         try:
-            result = plan_once(scenario, known, t0=t, start=vehicle)
+            result = plan_once(scenario, known, start=vehicle)
         except PlanFailure as exc:
             log.warning("replan failed at t=%.2f: %s", t, exc)
             trace.plan_failures += 1

@@ -1,17 +1,28 @@
+import heapq
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kinoplan.costmap import segment_is_free
 from kinoplan.geometry import MotionModel, ObstacleState, Vec2
 from kinoplan.homotopy import (
+    DETOUR_FACTOR,
+    LENGTH_CUTOFF_FACTOR,
+    MAX_PATHS_EXAMINED,
     HomotopySignature,
+    SeedPath,
+    _detour_nodes,
+    _free_matrix,
+    _segments_clear,
     enumerate_seed_paths,
     signatures_equivalent,
     winding_signature,
 )
+from kinoplan.planner import PlanFailure, plan_once
+from kinoplan.scenario_io import parse_scenario_dict
 
 TABLE1_OBSTACLES = (
     ObstacleState(Vec2(-2, 0)),
@@ -172,3 +183,219 @@ class TestEnumerateSeedPaths:
         assert plain and aware
         assert len(plain[0].waypoints) == 2  # shortest representative: straight
         assert len(aware[0].waypoints) > 2  # upgraded to a dodging representative
+
+
+# Six-obstacle corridor layout (start (-7, 0), goal (7, 0), two classes wanted).
+# Length-ordered enumeration expands every partial path shorter than the
+# shortest complete one here and returns [] at the 50,000-pop hard stop.
+CORRIDOR_DOC = {
+    "start": [-7.0, 0.0],
+    "goal": [7.0, 0.0],
+    "max_classes": 2,
+    "obstacles": [
+        {"position": [-5.14625430235504, 0.13897349477489307], "model": "constant_velocity",
+         "velocity": [0.04148670747961034, -0.10515228799984111]},
+        {"position": [-2.8944901524093543, -0.09797238970423133],
+         "model": "constant_acceleration",
+         "velocity": [-0.17175323172653423, 0.08351835364275241],
+         "acceleration": [-0.008044127588743436, -0.009159381109168191]},
+        {"position": [-1.0018259651632235, -0.02020357408450474],
+         "model": "constant_acceleration",
+         "velocity": [-0.038572444330417184, -0.013285857975157684],
+         "acceleration": [-0.005263044418326629, -0.013308394305556423]},
+        {"position": [1.060637189089105, 0.11548934045420528], "model": "static"},
+        {"position": [2.837543834709694, -0.18866100939119748], "model": "constant_velocity",
+         "velocity": [0.01239862213386509, 0.02653530212398308]},
+        {"position": [5.134306041567948, -0.02689317283797865], "model": "static"},
+    ],
+}
+
+
+class TestCorridorRegression:
+    def test_six_obstacle_corridor_finds_two_classes(self):
+        sc = parse_scenario_dict(CORRIDOR_DOC)
+        seeds = enumerate_seed_paths(
+            sc.start, sc.goal, sc.obstacles, sc.max_classes, sc.margin,
+            conflict_speed=sc.limits.v_max,
+        )
+        assert len(seeds) == 2
+        assert not signatures_equivalent(seeds[0].signature, seeds[1].signature)
+
+    def test_six_obstacle_corridor_plans(self):
+        sc = parse_scenario_dict(CORRIDOR_DOC)
+        try:
+            plan_once(sc, sc.obstacles)
+        except PlanFailure as exc:
+            assert exc.reason != "no_path"
+
+
+def _oracle_winding(waypoints, obstacles):
+    """Winding signature as first written, on Vec2 arithmetic."""
+    windings = []
+    for obs in obstacles:
+        c = obs.position
+        total = 0.0
+        prev = waypoints[0] - c
+        if prev.norm() <= 1e-6:
+            raise ValueError("waypoint coincides with an obstacle center")
+        for wp in waypoints[1:]:
+            cur = wp - c
+            if cur.norm() <= 1e-6:
+                raise ValueError("waypoint coincides with an obstacle center")
+            total += math.atan2(prev.cross(cur), prev.dot(cur))
+            prev = cur
+        windings.append(total)
+    return HomotopySignature(tuple(windings))
+
+
+def _oracle_time_clear(waypoints, obstacles, margin, speed):
+    t = 0.0
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        dt = a.distance_to(b) / speed
+        if not segment_is_free(obstacles, a, b, t, t + dt, margin):
+            return False
+        t += dt
+    return True
+
+
+def _oracle_enumerate(start, goal, obstacles, max_classes, margin, conflict_speed):
+    """Length-ordered best-first enumeration with pairwise segment checks.
+
+    Returns (seeds, capped); ``capped`` is True when it hit the pop limit.
+    """
+    nodes = [start, goal] + _detour_nodes(start, goal, obstacles, DETOUR_FACTOR, conflict_speed)
+    n = len(nodes)
+    free = [[False] * n for _ in range(n)]
+    lengths = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ok = segment_is_free(obstacles, nodes[i], nodes[j], 0.0, 0.0, margin)
+            free[i][j] = free[j][i] = ok
+            lengths[i][j] = lengths[j][i] = nodes[i].distance_to(nodes[j])
+    kept, clear_flags = [], []
+    heap = [(0.0, (start.as_tuple(),), (0,))]
+    examined = pops = 0
+    cutoff = math.inf
+
+    def done():
+        return len(kept) >= max_classes and (conflict_speed is None or all(clear_flags))
+
+    while heap and not done() and examined < MAX_PATHS_EXAMINED and pops < 50_000:
+        length, key, path = heapq.heappop(heap)
+        pops += 1
+        if length > cutoff:
+            break
+        last = path[-1]
+        if last == 1:
+            examined += 1
+            waypoints = tuple(nodes[i] for i in path)
+            try:
+                sig = _oracle_winding(waypoints, obstacles)
+            except ValueError:
+                continue
+            match = next(
+                (k for k, kp in enumerate(kept) if signatures_equivalent(sig, kp.signature)),
+                None,
+            )
+            if match is None:
+                if len(kept) < max_classes:
+                    kept.append(SeedPath(waypoints, sig, length))
+                    clear_flags.append(
+                        conflict_speed is None
+                        or _oracle_time_clear(waypoints, obstacles, margin, conflict_speed)
+                    )
+                    if len(kept) == 1:
+                        cutoff = length * LENGTH_CUTOFF_FACTOR
+            elif conflict_speed is not None and not clear_flags[match]:
+                if _oracle_time_clear(waypoints, obstacles, margin, conflict_speed):
+                    kept[match] = SeedPath(waypoints, sig, length)
+                    clear_flags[match] = True
+            continue
+        for nxt in range(n):
+            if nxt in path or not free[last][nxt]:
+                continue
+            new_length = length + lengths[last][nxt]
+            if new_length > cutoff:
+                continue
+            heapq.heappush(heap, (new_length, key + (nodes[nxt].as_tuple(),), path + (nxt,)))
+    kept.sort(key=lambda s: (s.length, tuple(w.as_tuple() for w in s.waypoints)))
+    return kept, pops >= 50_000
+
+
+coord = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+small = st.floats(min_value=-0.3, max_value=0.3, allow_nan=False)
+obstacle_st = st.builds(
+    lambda x, y, vx, vy, ax, ay, r: ObstacleState(
+        Vec2(x, y), Vec2(vx, vy), Vec2(0.1 * ax, 0.1 * ay), safety_radius=r,
+        model=MotionModel.CONST_ACCELERATION,
+    ),
+    coord,
+    st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
+    small, small, small, small,
+    st.floats(min_value=0.2, max_value=0.8, allow_nan=False),
+)
+
+
+class TestAgainstLengthOrderedOracle:
+    @given(
+        obstacles=st.lists(obstacle_st, min_size=1, max_size=4),
+        max_classes=st.integers(min_value=1, max_value=5),
+        margin=st.sampled_from([0.0, 0.05]),
+        conflict_speed=st.sampled_from([None, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_seeds_as_oracle(self, obstacles, max_classes, margin, conflict_speed):
+        expected, capped = _oracle_enumerate(
+            START, GOAL, obstacles, max_classes, margin, conflict_speed
+        )
+        assume(not capped)
+        got = enumerate_seed_paths(
+            START, GOAL, obstacles, max_classes, margin, conflict_speed=conflict_speed
+        )
+        assert [s.waypoints for s in got] == [s.waypoints for s in expected]
+        assert [s.signature for s in got] == [s.signature for s in expected]
+        assert [s.length for s in got] == [s.length for s in expected]
+
+    @given(
+        obstacles=st.lists(obstacle_st, min_size=0, max_size=4),
+        margin=st.sampled_from([0.0, 0.05]),
+        conflict_speed=st.sampled_from([None, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_free_matrix_matches_pairwise_checks(self, obstacles, margin, conflict_speed):
+        nodes = [START, GOAL] + _detour_nodes(
+            START, GOAL, obstacles, DETOUR_FACTOR, conflict_speed
+        )
+        lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
+        free = _free_matrix(nodes, lengths, obstacles, margin)
+        n = len(nodes)
+        expected = np.array([
+            [i != j and segment_is_free(obstacles, nodes[i], nodes[j], 0.0, 0.0, margin)
+             for j in range(n)]
+            for i in range(n)
+        ])
+        assert np.array_equal(free, expected)
+
+    @given(
+        obstacles=st.lists(obstacle_st, min_size=1, max_size=4),
+        points=st.lists(st.tuples(coord, coord), min_size=2, max_size=6),
+        t0=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        speed=st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_timed_segments_match_segment_is_free(self, obstacles, points, t0, speed):
+        pts = [Vec2(x, y) for x, y in points]
+        lengths = [a.distance_to(b) for a, b in zip(pts[:-1], pts[1:])]
+        t_a = [t0 + sum(lengths[:k]) / speed for k in range(len(lengths))]
+        t_b = [t + d / speed for t, d in zip(t_a, lengths)]
+        xs = np.array([p.x for p in pts])
+        ys = np.array([p.y for p in pts])
+        got = _segments_clear(
+            xs[:-1], ys[:-1], xs[1:], ys[1:], np.array(lengths),
+            np.array(t_a), np.array(t_b), obstacles, 0.0,
+        )
+        expected = [
+            segment_is_free(obstacles, a, b, ta, tb, 0.0)
+            for a, b, ta, tb in zip(pts[:-1], pts[1:], t_a, t_b)
+        ]
+        assert got.tolist() == expected
