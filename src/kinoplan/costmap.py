@@ -140,6 +140,34 @@ def query_cost(grid: CostGrid, p: Vec2) -> float:
     return float(top * (1 - fy) + bot * fy)
 
 
+def sweep_samples(
+    ax: np.ndarray,
+    ay: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    lengths: np.ndarray,
+    t0: np.ndarray,
+    dt: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Samples of many timed straight segments, concatenated segment by segment.
+
+    Segment i starts at (ax, ay) at time t0, moves by (dx, dy) over ``dt``
+    and is ``lengths`` long. It gets the samples ``segment_is_free`` takes
+    (``np.linspace`` spelled out). Returns x, y, t and each segment's first
+    sample index, ready for ``np.logical_and.reduceat``.
+    """
+    steps = np.maximum(
+        np.maximum(np.ceil(lengths / CHECK_STEP_M), np.ceil(dt / CHECK_STEP_S)), 1.0
+    ).astype(np.int64)
+    counts = steps + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    seg = np.repeat(np.arange(len(ax)), counts)
+    s = (np.arange(ends[-1]) - starts[seg]) * (1.0 / steps)[seg]
+    s[ends - 1] = 1.0
+    return ax[seg] + dx[seg] * s, ay[seg] + dy[seg] * s, t0[seg] + dt[seg] * s, starts
+
+
 def segment_is_free(
     obstacles: Sequence[ObstacleState],
     a: Vec2,

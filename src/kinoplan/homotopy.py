@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costmap import CHECK_STEP_M, CHECK_STEP_S
+from .costmap import sweep_samples
 from .geometry import ObstacleState, Vec2
 from .tracking import predict_position
 
@@ -149,23 +149,11 @@ def _segments_clear(
     """Per-segment ``costmap.segment_is_free`` in one pass over all segments.
 
     Each timed straight segment gets exactly the samples ``segment_is_free``
-    would take (``np.linspace`` spelled out), all segments' samples are
-    concatenated, and the clearance test runs on all obstacles at once.
+    would take, and the clearance test runs on all obstacles at once.
     """
     if not obstacles:
         return np.ones(len(ax), dtype=bool)
-    steps = np.maximum(
-        np.maximum(np.ceil(lengths / CHECK_STEP_M), np.ceil((t_b - t_a) / CHECK_STEP_S)), 1.0
-    ).astype(np.int64)
-    counts = steps + 1
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    seg = np.repeat(np.arange(len(ax)), counts)
-    s = (np.arange(ends[-1]) - starts[seg]) * (1.0 / steps)[seg]
-    s[ends - 1] = 1.0
-    px = ax[seg] + (bx - ax)[seg] * s
-    py = ay[seg] + (by - ay)[seg] * s
-    times = t_a[seg] + (t_b - t_a)[seg] * s
+    px, py, times, starts = sweep_samples(ax, ay, bx - ax, by - ay, lengths, t_a, t_b - t_a)
     t2 = times * times
     # One row per obstacle: position, velocity, half acceleration, clearance.
     o = np.array([

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .homotopy import SeedPath, signatures_equivalent, winding_signature
 CLEARANCE_BUFFER = 0.1
 DT_FLOOR = 0.01          # segment durations never drop below this, s
 _EPS = 1e-12
+_PERP = np.array([-1.0, 1.0])   # (x, y) reversed times this is perp(x)
 
 
 class OptimizationError(RuntimeError):
@@ -141,64 +142,94 @@ def _obstacle_geometry(p: np.ndarray, dts: np.ndarray, obs: _ObstacleArrays):
     return t, dx, dy, dist
 
 
-def _cost_arrays(
+class _Evaluation(NamedTuple):
+    """One cost evaluation: the total plus the intermediates its gradient reuses."""
+
+    cost: float
+    p: np.ndarray
+    dts: np.ndarray
+    obs: _ObstacleArrays
+    weights: CostWeights
+    seg: np.ndarray
+    e: np.ndarray
+    hv: np.ndarray
+    accel: Optional[tuple]       # vel, dv, tau, nrm, ha; None below three states
+    curvature: Optional[tuple]   # _curvature_terms(p); None without smoothing
+    obstacle: Optional[tuple]    # t, dx, dy, dist, h; None without obstacles
+
+
+def _evaluate(
     p: np.ndarray,
     dts: np.ndarray,
     obs: _ObstacleArrays,
     weights: CostWeights,
     limits: KinodynamicLimits,
     clearance: float,
-) -> float:
-    n = len(p)
-    cost = weights.w_time * float(dts.sum())
+    bound: float = math.inf,
+) -> Optional[_Evaluation]:
+    """Cost of (p, dts), or None ("rejected") once it is known to be >= ``bound``.
 
+    The total is summed as time + obstacle + smooth + vel + acc. Every term
+    is non-negative, and adding a non-negative float never lowers an IEEE
+    sum, so the same ordered sum over any subset of the terms is a lower
+    bound on the total. The terms are computed cheapest first (time and
+    speed, then acceleration, then smoothness, then obstacles) and the
+    evaluation stops as soon as the sub-sum so far reaches ``bound``; most
+    rejected line-search trials stop after the first two terms. The total
+    and every accept/reject decision are those of the full evaluation. A
+    non-finite total is rejected too, so an accepted result always has a
+    finite ``cost < bound``.
+    """
+    n = len(p)
     seg = p[1:] - p[:-1]
     e = np.hypot(seg[:, 0], seg[:, 1])
+    hv = np.maximum(e / dts - limits.v_max, 0.0)
+    time_term = weights.w_time * float(dts.sum())
+    vel_term = weights.w_vel * float((hv * hv).sum())
+    if time_term + vel_term >= bound:
+        return None
 
-    if obs.count:
-        _, _, _, dist = _obstacle_geometry(p, dts, obs)
-        h = np.maximum(obs.radius[None, :] + clearance - dist, 0.0)
-        cost += weights.w_obstacle * float((h * h).sum())
-
-    if n >= 3 and weights.w_smooth > 0.0:  # smoothness needs an interior point
-        _, _, _, a, b, _, _, kappa, _ = _curvature_terms(p)
-        cost += weights.w_smooth * float((kappa * kappa * 0.5 * (a + b)).sum())
-
-    speed = e / dts
-    hv = np.maximum(speed - limits.v_max, 0.0)
-    cost += weights.w_vel * float((hv * hv).sum())
-
+    acc_term = smooth_term = obstacle_term = 0.0
+    accel = curvature = obstacle = None
     if n >= 3:
         vel = seg / dts[:, None]
         dv = vel[1:] - vel[:-1]
         tau = 0.5 * (dts[:-1] + dts[1:])
-        amag = np.hypot(dv[:, 0], dv[:, 1]) / tau
-        ha = np.maximum(amag - limits.a_max, 0.0)
-        cost += weights.w_acc * float((ha * ha).sum())
+        nrm = np.hypot(dv[:, 0], dv[:, 1])
+        ha = np.maximum(nrm / tau - limits.a_max, 0.0)
+        acc_term = weights.w_acc * float((ha * ha).sum())
+        if time_term + vel_term + acc_term >= bound:
+            return None
+        accel = (vel, dv, tau, nrm, ha)
 
-    return cost
-
-
-def _cost_grad_arrays(
-    p: np.ndarray,
-    dts: np.ndarray,
-    obs: _ObstacleArrays,
-    weights: CostWeights,
-    limits: KinodynamicLimits,
-    clearance: float,
-):
-    n = len(p)
-    grad_p = np.zeros_like(p)
-    grad_dt = np.full(len(dts), weights.w_time)
-    cost = weights.w_time * float(dts.sum())
-
-    seg = p[1:] - p[:-1]
-    e = np.hypot(seg[:, 0], seg[:, 1])
+        if weights.w_smooth > 0.0:  # smoothness needs an interior point
+            curvature = _curvature_terms(p)
+            _, _, _, a, b, _, _, kappa, _ = curvature
+            smooth_term = weights.w_smooth * float((kappa * kappa * 0.5 * (a + b)).sum())
+            if time_term + smooth_term + vel_term + acc_term >= bound:
+                return None
 
     if obs.count:
         t, dx, dy, dist = _obstacle_geometry(p, dts, obs)
         h = np.maximum(obs.radius[None, :] + clearance - dist, 0.0)
-        cost += weights.w_obstacle * float((h * h).sum())
+        obstacle_term = weights.w_obstacle * float((h * h).sum())
+        obstacle = (t, dx, dy, dist, h)
+
+    cost = time_term + obstacle_term + smooth_term + vel_term + acc_term
+    if not (math.isfinite(cost) and cost < bound):
+        return None
+    return _Evaluation(cost, p, dts, obs, weights, seg, e, hv, accel, curvature, obstacle)
+
+
+def _gradient(ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient of ``ev.cost`` wrt positions ((N,2), endpoints zero)
+    and durations ((N-1,))."""
+    p, dts, obs, weights = ev.p, ev.dts, ev.obs, ev.weights
+    grad_p = np.zeros_like(p)
+    grad_dt = np.full(len(dts), weights.w_time)
+
+    if ev.obstacle is not None:
+        t, dx, dy, dist, h = ev.obstacle
         active = (h > 0.0) & (dist > _EPS)
         if active.any():
             coef = np.where(active, 2.0 * weights.w_obstacle * h / np.where(active, dist, 1.0), 0.0)
@@ -213,10 +244,9 @@ def _cost_grad_arrays(
             tail = np.cumsum(s_i[::-1])[::-1]
             grad_dt += tail[1:]
 
-    if n >= 3 and weights.w_smooth > 0.0:
-        u, v, w, a, b, c, cross, kappa, valid = _curvature_terms(p)
+    if ev.curvature is not None:
+        u, v, w, a, b, c, cross, kappa, valid = ev.curvature
         ell = 0.5 * (a + b)
-        cost += weights.w_smooth * float((kappa * kappa * ell).sum())
         safe_abc = np.where(valid, a * b * c, 1.0)
         sa = np.where(valid, a, 1.0)
         sb = np.where(valid, b, 1.0)
@@ -232,22 +262,14 @@ def _cost_grad_arrays(
         vh = v / sb[:, None]
         wh = w / sc[:, None]
         # perp(x) = (-x_y, x_x); d(cross)/dp for the three stencil points
-        cross_dprev = np.empty_like(u)
-        cross_dprev[:, 0] = -v[:, 1]
-        cross_dprev[:, 1] = v[:, 0]
-        cross_dmid = np.empty_like(u)
-        cross_dmid[:, 0] = w[:, 1]
-        cross_dmid[:, 1] = -w[:, 0]
-        cross_dnext = np.empty_like(u)
-        cross_dnext[:, 0] = -u[:, 1]
-        cross_dnext[:, 1] = u[:, 0]
+        cross_dprev = v[:, ::-1] * _PERP    # perp(v)
+        cross_dmid = w[:, ::-1] * -_PERP    # -perp(w)
+        cross_dnext = u[:, ::-1] * _PERP    # perp(u)
         grad_p[:-2] += g_cross[:, None] * cross_dprev - g_a[:, None] * uh - g_c[:, None] * wh
         grad_p[1:-1] += g_cross[:, None] * cross_dmid + g_a[:, None] * uh - g_b[:, None] * vh
         grad_p[2:] += g_cross[:, None] * cross_dnext + g_b[:, None] * vh + g_c[:, None] * wh
 
-    speed = e / dts
-    hv = np.maximum(speed - limits.v_max, 0.0)
-    cost += weights.w_vel * float((hv * hv).sum())
+    seg, e, hv = ev.seg, ev.e, ev.hv
     act_v = (hv > 0.0) & (e > _EPS)
     if act_v.any():
         coef = np.where(act_v, 2.0 * weights.w_vel * hv / (np.where(act_v, e, 1.0) * dts), 0.0)
@@ -256,14 +278,8 @@ def _cost_grad_arrays(
         grad_p[:-1] -= gseg
         grad_dt += np.where(act_v, -2.0 * weights.w_vel * hv * e / (dts * dts), 0.0)
 
-    if n >= 3:
-        vel = seg / dts[:, None]
-        dv = vel[1:] - vel[:-1]
-        tau = 0.5 * (dts[:-1] + dts[1:])
-        nrm = np.hypot(dv[:, 0], dv[:, 1])
-        amag = nrm / tau
-        ha = np.maximum(amag - limits.a_max, 0.0)
-        cost += weights.w_acc * float((ha * ha).sum())
+    if ev.accel is not None:
+        vel, dv, tau, nrm, ha = ev.accel
         act_a = (ha > 0.0) & (nrm > _EPS)
         if act_a.any():
             g = np.where(act_a, 2.0 * weights.w_acc * ha, 0.0)
@@ -279,7 +295,22 @@ def _cost_grad_arrays(
 
     grad_p[0] = 0.0
     grad_p[-1] = 0.0
-    return cost, grad_p, grad_dt
+    return grad_p, grad_dt
+
+
+def _evaluate_or_raise(
+    p: np.ndarray,
+    dts: np.ndarray,
+    obs: _ObstacleArrays,
+    weights: CostWeights,
+    limits: KinodynamicLimits,
+    clearance: float,
+    where: str,
+) -> _Evaluation:
+    ev = _evaluate(p, dts, obs, weights, limits, clearance)
+    if ev is None:
+        raise OptimizationError(f"non-finite cost {where}")
+    return ev
 
 
 def total_cost(
@@ -289,10 +320,14 @@ def total_cost(
     limits: KinodynamicLimits = DEFAULT_LIMITS,
     clearance: float = CLEARANCE_BUFFER,
 ) -> float:
-    """Scalar objective: travel time, obstacle proximity, bending, and limit violations."""
-    return _cost_arrays(
-        traj.positions(), traj.durations(), _ObstacleArrays(obstacles), weights, limits, clearance
-    )
+    """Scalar objective: travel time, obstacle proximity, bending, and limit violations.
+
+    Raises ``OptimizationError`` when the objective is not finite.
+    """
+    return _evaluate_or_raise(
+        traj.positions(), traj.durations(), _ObstacleArrays(obstacles), weights, limits,
+        clearance, "in total_cost",
+    ).cost
 
 
 def cost_gradient(
@@ -302,11 +337,14 @@ def cost_gradient(
     limits: KinodynamicLimits = DEFAULT_LIMITS,
     clearance: float = CLEARANCE_BUFFER,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient wrt interior positions ((N,2), endpoints zero) and durations ((N-1,))."""
-    _, grad_p, grad_dt = _cost_grad_arrays(
-        traj.positions(), traj.durations(), _ObstacleArrays(obstacles), weights, limits, clearance
-    )
-    return grad_p, grad_dt
+    """Analytic gradient wrt interior positions ((N,2), endpoints zero) and durations ((N-1,)).
+
+    Raises ``OptimizationError`` when the objective is not finite.
+    """
+    return _gradient(_evaluate_or_raise(
+        traj.positions(), traj.durations(), _ObstacleArrays(obstacles), weights, limits,
+        clearance, "in cost_gradient",
+    ))
 
 
 def dynamic_weights(
@@ -322,59 +360,97 @@ def dynamic_weights(
     return replace(base, w_obstacle=w_obs)
 
 
+def _split_segments(
+    p: np.ndarray, dts: np.ndarray, params: DensityParams
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One insertion pass: halve each over-long segment, then keep halving
+    its tail half while that is still too long.
+
+    Bend flags come from the polyline at the start of the pass; every new
+    midpoint counts as straight, so a tail half is held to ``d_max_bend``
+    only when the segment's far end is a bend.
+    """
+    bend = state_curvatures(p) > params.kappa_thresh
+    end = p[1:]
+    tail_limit = np.where(bend[1:], params.d_max_bend, params.d_max) + 1e-12
+    limit = np.where(bend[:-1], params.d_max_bend + 1e-12, tail_limit)
+    mids: list[np.ndarray] = []      # level k: the k-th midpoint of each splitting segment
+    halves: list[np.ndarray] = []    # level k: that segment's duration after k+1 halvings
+    owners: list[np.ndarray] = []    # level k: indices of the segments split k+1 times
+    idx = np.arange(len(dts))
+    tail, dur = p[:-1], dts
+    while len(idx):
+        d = end[idx] - tail
+        split = np.hypot(d[:, 0], d[:, 1]) > limit
+        if not split.any():
+            break
+        idx = idx[split]
+        tail = 0.5 * (tail[split] + end[idx])
+        dur = 0.5 * dur[split]
+        limit = tail_limit[idx]
+        mids.append(tail)
+        halves.append(dur)
+        owners.append(idx)
+    if not mids:
+        return p, dts, False
+    counts = np.bincount(np.concatenate(owners), minlength=len(dts))
+    # Segment i's states start at first[i]: its start point, then its midpoints.
+    first = np.arange(len(dts)) + np.concatenate(([0], np.cumsum(counts)[:-1]))
+    out_p = np.empty((len(p) + int(counts.sum()), 2))
+    out_p[first] = p[:-1]
+    out_p[-1] = p[-1]
+    out_dt = np.empty(len(out_p) - 1)
+    out_dt[first] = dts
+    for k, (owner, mid, half) in enumerate(zip(owners, mids, halves)):
+        out_p[first[owner] + k + 1] = mid
+        # the head piece keeps this halving; the tail piece may be halved again
+        out_dt[first[owner] + k] = half
+        out_dt[first[owner] + k + 1] = half
+    return out_p, out_dt, True
+
+
+def _merge_one(
+    p: np.ndarray, dts: np.ndarray, params: DensityParams
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Drop the first interior state, in scan order, that sits in an
+    over-dense straight stretch and whose merged segment stays within its
+    bound; None when no state qualifies."""
+    if len(p) < 3:
+        return None
+    bend = state_curvatures(p) > params.kappa_thresh
+    seg = p[1:] - p[:-1]
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    span = p[2:] - p[:-2]
+    merged = np.hypot(span[:, 0], span[:, 1])
+    limit = np.where(bend[:-2] | bend[2:], params.d_max_bend, params.d_max)
+    ok = ~(
+        (lengths[:-1] >= params.d_min)
+        | (lengths[1:] >= params.d_min)
+        | bend[1:-1]
+        | (merged > limit)
+    )
+    if not ok.any():
+        return None
+    i = int(ok.argmax()) + 1
+    out_dt = np.delete(dts, i)
+    out_dt[i - 1] = dts[i - 1] + dts[i]
+    return np.delete(p, i, axis=0), out_dt
+
+
 def _adapt_arrays(
     p: np.ndarray, dts: np.ndarray, params: DensityParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    pts = [row.copy() for row in p]
-    durs = list(dts)
     for _ in range(200):
-        changed = False
-
         # Insertion: split any segment longer than its applicable bound.
-        kappa = state_curvatures(np.array(pts))
-        bend = kappa > params.kappa_thresh
-        i = 0
-        while i < len(durs):
-            length = float(np.hypot(*(pts[i + 1] - pts[i])))
-            limit = params.d_max_bend if (bend[i] or bend[i + 1]) else params.d_max
-            if length > limit + 1e-12:
-                mid = 0.5 * (pts[i] + pts[i + 1])
-                half = 0.5 * durs[i]
-                pts.insert(i + 1, mid)
-                durs[i] = half
-                durs.insert(i + 1, half)
-                # Splitting is shape-preserving, so bend flags stay usable;
-                # extend them for the new collinear state (curvature 0 there).
-                bend = np.insert(bend, i + 1, False)
-                changed = True
-            i += 1
-
+        p, dts, changed = _split_segments(p, dts, params)
         # Removal: drop interior states in over-dense straight stretches,
-        # but only when the merged segment stays within its bound.
-        removed = True
-        while removed:
-            removed = False
-            arr = np.array(pts)
-            kappa = state_curvatures(arr)
-            bend = kappa > params.kappa_thresh
-            for i in range(1, len(pts) - 1):
-                la = float(np.hypot(*(pts[i] - pts[i - 1])))
-                lb = float(np.hypot(*(pts[i + 1] - pts[i])))
-                if la >= params.d_min or lb >= params.d_min or bend[i]:
-                    continue
-                merged = float(np.hypot(*(pts[i + 1] - pts[i - 1])))
-                limit = params.d_max_bend if (bend[i - 1] or bend[i + 1]) else params.d_max
-                if merged > limit:
-                    continue
-                pts.pop(i)
-                durs[i - 1] += durs.pop(i)
-                removed = True
-                changed = True
-                break
-
+        # one at a time, re-reading curvature after each.
+        while (merged := _merge_one(p, dts, params)) is not None:
+            p, dts = merged
+            changed = True
         if not changed:
             break
-    return np.array(pts), np.array(durs)
+    return p, dts
 
 
 def adapt_density(traj: Trajectory, params: DensityParams = DEFAULT_DENSITY) -> Trajectory:
@@ -454,9 +530,9 @@ def _descend(
     momentarily free to move. ``alphas`` carries the step scales in from the
     previous round.
     """
-    cost, grad_p, grad_dt = _cost_grad_arrays(p, dts, obs, weights, limits, clearance)
-    if not math.isfinite(cost):
-        raise OptimizationError("non-finite cost at descent start")
+    ev = _evaluate_or_raise(p, dts, obs, weights, limits, clearance, "at descent start")
+    cost = ev.cost
+    grad_p, grad_dt = _gradient(ev)
     alpha_p, alpha_dt = alphas
     iters = 0
     converged = False
@@ -470,18 +546,17 @@ def _descend(
 
     for _ in range(max_inner):
         theta = 1.0
-        accepted = False
         for _ in range(16):
             p_try = p - (theta * alpha_p) * grad_p
             dt_try = np.maximum(dts - (theta * alpha_dt) * grad_dt, DT_FLOOR)
-            c_try = _cost_arrays(p_try, dt_try, obs, weights, limits, clearance)
-            if math.isfinite(c_try) and c_try < cost:
-                accepted = True
+            trial = _evaluate(p_try, dt_try, obs, weights, limits, clearance, bound=cost)
+            if trial is not None:
                 break
             theta *= 0.5
-        if not accepted:
+        if trial is None:
             converged = True
             break
+        c_try = trial.cost
         if on_accept is not None:
             on_accept(cost, c_try)
         rel = (cost - c_try) / max(abs(cost), _EPS)
@@ -490,11 +565,7 @@ def _descend(
             p, dts, cost = p_try, dt_try, c_try
             converged = True
             break
-        check, gp_new, gdt_new = _cost_grad_arrays(
-            p_try, dt_try, obs, weights, limits, clearance
-        )
-        if not math.isfinite(check):
-            raise OptimizationError("non-finite cost during descent")
+        gp_new, gdt_new = _gradient(trial)
         alpha_p = bb_step(p_try - p, gp_new - grad_p, theta * alpha_p)
         alpha_dt = bb_step(dt_try - dts, gdt_new - grad_dt, theta * alpha_dt)
         p, dts, cost = p_try, dt_try, c_try
@@ -534,9 +605,7 @@ def optimize_candidate(
         iterations += n_iters
         p, dts = _adapt_arrays(p, dts, density)
 
-    final_cost = _cost_arrays(p, dts, obs, weights, limits, clearance)
-    if not math.isfinite(final_cost):
-        raise OptimizationError("non-finite final cost")
+    final_cost = _evaluate_or_raise(p, dts, obs, weights, limits, clearance, "after descent").cost
     traj = _to_trajectory(p, dts)
     result_sig = winding_signature([s.position for s in traj.states], obstacles)
     preserved = signatures_equivalent(result_sig, seed.signature)

@@ -20,6 +20,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+from .costmap import sweep_samples
 from .geometry import KinodynamicLimits, MotionModel, ObstacleState, Trajectory, Vec2
 from .homotopy import SeedPath, enumerate_seed_paths
 from .optimizer import (
@@ -138,7 +139,7 @@ def trajectory_is_free(
     """Time-indexed sweep of every trajectory segment against predicted obstacles.
 
     Equivalent to running ``segment_is_free`` per segment (same sampling
-    density), batched into one vectorized pass.
+    density), batched into one vectorized pass over all samples and obstacles.
     """
     if not obstacles:
         return True
@@ -147,31 +148,20 @@ def trajectory_is_free(
     times = np.concatenate(([0.0], np.cumsum(dts)))
     seg = np.diff(pts, axis=0)
     lengths = np.hypot(seg[:, 0], seg[:, 1])
-    sample_x: list[np.ndarray] = []
-    sample_y: list[np.ndarray] = []
-    sample_t: list[np.ndarray] = []
-    for i in range(len(seg)):
-        steps = max(
-            int(math.ceil(lengths[i] / 0.05)),
-            int(math.ceil(dts[i] / 0.05)),
-            1,
-        )
-        s = np.linspace(0.0, 1.0, steps + 1)
-        sample_x.append(pts[i, 0] + seg[i, 0] * s)
-        sample_y.append(pts[i, 1] + seg[i, 1] * s)
-        sample_t.append(times[i] + dts[i] * s)
-    px = np.concatenate(sample_x)
-    py = np.concatenate(sample_y)
-    pt = np.concatenate(sample_t)
+    px, py, pt, _ = sweep_samples(
+        pts[:-1, 0], pts[:-1, 1], seg[:, 0], seg[:, 1], lengths, times[:-1], dts
+    )
     pt2 = 0.5 * pt * pt
-    for obs in obstacles:
-        cx = obs.position.x + obs.velocity.x * pt + obs.acceleration.x * pt2
-        cy = obs.position.y + obs.velocity.y * pt + obs.acceleration.y * pt2
-        d2 = (px - cx) ** 2 + (py - cy) ** 2
-        limit = obs.safety_radius + margin
-        if not np.all(d2 > limit * limit):
-            return False
-    return True
+    # One row per obstacle: position, velocity, acceleration, clearance.
+    o = np.array([
+        (ob.position.x, ob.position.y, ob.velocity.x, ob.velocity.y,
+         ob.acceleration.x, ob.acceleration.y, ob.safety_radius + margin)
+        for ob in obstacles
+    ])[:, :, None]
+    cx = o[:, 0] + o[:, 2] * pt + o[:, 4] * pt2
+    cy = o[:, 1] + o[:, 3] * pt + o[:, 5] * pt2
+    d2 = (px - cx) ** 2 + (py - cy) ** 2
+    return bool(np.all(d2 > o[:, 6] * o[:, 6]))
 
 
 def _point_clear(p: Vec2, obstacles: Sequence[ObstacleState], margin: float) -> bool:

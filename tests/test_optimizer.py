@@ -1,4 +1,6 @@
+import itertools
 import math
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -11,18 +13,40 @@ from kinoplan.geometry import (
     Vec2,
     arc_length,
 )
-from kinoplan.homotopy import HomotopySignature, SeedPath, enumerate_seed_paths, winding_signature
+from kinoplan.homotopy import (
+    HomotopySignature,
+    SeedPath,
+    enumerate_seed_paths,
+    signatures_equivalent,
+    winding_signature,
+)
 from kinoplan.optimizer import (
     CLEARANCE_BUFFER,
+    DT_FLOOR,
+    MAX_INNER_ITERS,
+    OUTER_ROUNDS,
+    REL_TOL,
     CostWeights,
     DensityParams,
+    OptimizationError,
+    OptimizeReport,
+    _adapt_arrays,
+    _curvature_terms,
+    _evaluate,
+    _gradient,
+    _obstacle_geometry,
+    _ObstacleArrays,
+    _seed_arrays,
+    _EPS,
     adapt_density,
     cost_gradient,
     dynamic_weights,
     optimize_candidate,
+    state_curvatures,
     total_cost,
     trajectory_density,
 )
+from kinoplan.scenario_io import parse_scenario
 
 LIMITS = KinodynamicLimits(0.5, 0.5)
 WEIGHTS = CostWeights(1.0, 10.0, 0.5, 5.0, 5.0)
@@ -354,3 +378,424 @@ class TestOptimizeCandidate:
         for i in range(1, len(lengths)):
             if lengths[i] < params.d_min - 1e-9 and lengths[i - 1] < params.d_min - 1e-9:
                 assert max(kappa[i - 1], kappa[i], kappa[i + 1]) >= params.kappa_thresh
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the optimizer kernels as they were before the bounded evaluation,
+# the reused evaluation cache and the array-pass density adaptation. The
+# current kernels must reproduce them bit for bit.
+
+
+def ref_cost_arrays(
+    p: np.ndarray,
+    dts: np.ndarray,
+    obs: _ObstacleArrays,
+    weights: CostWeights,
+    limits: KinodynamicLimits,
+    clearance: float,
+) -> float:
+    n = len(p)
+    cost = weights.w_time * float(dts.sum())
+
+    seg = p[1:] - p[:-1]
+    e = np.hypot(seg[:, 0], seg[:, 1])
+
+    if obs.count:
+        _, _, _, dist = _obstacle_geometry(p, dts, obs)
+        h = np.maximum(obs.radius[None, :] + clearance - dist, 0.0)
+        cost += weights.w_obstacle * float((h * h).sum())
+
+    if n >= 3 and weights.w_smooth > 0.0:  # smoothness needs an interior point
+        _, _, _, a, b, _, _, kappa, _ = _curvature_terms(p)
+        cost += weights.w_smooth * float((kappa * kappa * 0.5 * (a + b)).sum())
+
+    speed = e / dts
+    hv = np.maximum(speed - limits.v_max, 0.0)
+    cost += weights.w_vel * float((hv * hv).sum())
+
+    if n >= 3:
+        vel = seg / dts[:, None]
+        dv = vel[1:] - vel[:-1]
+        tau = 0.5 * (dts[:-1] + dts[1:])
+        amag = np.hypot(dv[:, 0], dv[:, 1]) / tau
+        ha = np.maximum(amag - limits.a_max, 0.0)
+        cost += weights.w_acc * float((ha * ha).sum())
+
+    return cost
+
+
+def ref_cost_grad_arrays(
+    p: np.ndarray,
+    dts: np.ndarray,
+    obs: _ObstacleArrays,
+    weights: CostWeights,
+    limits: KinodynamicLimits,
+    clearance: float,
+):
+    n = len(p)
+    grad_p = np.zeros_like(p)
+    grad_dt = np.full(len(dts), weights.w_time)
+    cost = weights.w_time * float(dts.sum())
+
+    seg = p[1:] - p[:-1]
+    e = np.hypot(seg[:, 0], seg[:, 1])
+
+    if obs.count:
+        t, dx, dy, dist = _obstacle_geometry(p, dts, obs)
+        h = np.maximum(obs.radius[None, :] + clearance - dist, 0.0)
+        cost += weights.w_obstacle * float((h * h).sum())
+        active = (h > 0.0) & (dist > _EPS)
+        if active.any():
+            coef = np.where(active, 2.0 * weights.w_obstacle * h / np.where(active, dist, 1.0), 0.0)
+            grad_p[:, 0] -= (coef * dx).sum(axis=1)
+            grad_p[:, 1] -= (coef * dy).sum(axis=1)
+            # Times enter through the predicted centers; each dt moves every
+            # later state's sampling time.
+            tc = t[:, None]
+            cdot_x = obs.vel[None, :, 0] + obs.acc[None, :, 0] * tc
+            cdot_y = obs.vel[None, :, 1] + obs.acc[None, :, 1] * tc
+            s_i = (coef * (dx * cdot_x + dy * cdot_y)).sum(axis=1)
+            tail = np.cumsum(s_i[::-1])[::-1]
+            grad_dt += tail[1:]
+
+    if n >= 3 and weights.w_smooth > 0.0:
+        u, v, w, a, b, c, cross, kappa, valid = _curvature_terms(p)
+        ell = 0.5 * (a + b)
+        cost += weights.w_smooth * float((kappa * kappa * ell).sum())
+        safe_abc = np.where(valid, a * b * c, 1.0)
+        sa = np.where(valid, a, 1.0)
+        sb = np.where(valid, b, 1.0)
+        sc = np.where(valid, c, 1.0)
+        dk = np.where(valid, 2.0 * weights.w_smooth * kappa * ell, 0.0)  # dJ/dkappa
+        dl = np.where(valid, weights.w_smooth * kappa * kappa, 0.0)      # dJ/dell
+        # kappa = 2*cross/(a*b*c)
+        g_cross = dk * 2.0 / safe_abc
+        g_a = -dk * kappa / sa + 0.5 * dl
+        g_b = -dk * kappa / sb + 0.5 * dl
+        g_c = -dk * kappa / sc
+        uh = u / sa[:, None]
+        vh = v / sb[:, None]
+        wh = w / sc[:, None]
+        # perp(x) = (-x_y, x_x); d(cross)/dp for the three stencil points
+        cross_dprev = np.empty_like(u)
+        cross_dprev[:, 0] = -v[:, 1]
+        cross_dprev[:, 1] = v[:, 0]
+        cross_dmid = np.empty_like(u)
+        cross_dmid[:, 0] = w[:, 1]
+        cross_dmid[:, 1] = -w[:, 0]
+        cross_dnext = np.empty_like(u)
+        cross_dnext[:, 0] = -u[:, 1]
+        cross_dnext[:, 1] = u[:, 0]
+        grad_p[:-2] += g_cross[:, None] * cross_dprev - g_a[:, None] * uh - g_c[:, None] * wh
+        grad_p[1:-1] += g_cross[:, None] * cross_dmid + g_a[:, None] * uh - g_b[:, None] * vh
+        grad_p[2:] += g_cross[:, None] * cross_dnext + g_b[:, None] * vh + g_c[:, None] * wh
+
+    speed = e / dts
+    hv = np.maximum(speed - limits.v_max, 0.0)
+    cost += weights.w_vel * float((hv * hv).sum())
+    act_v = (hv > 0.0) & (e > _EPS)
+    if act_v.any():
+        coef = np.where(act_v, 2.0 * weights.w_vel * hv / (np.where(act_v, e, 1.0) * dts), 0.0)
+        gseg = coef[:, None] * seg
+        grad_p[1:] += gseg
+        grad_p[:-1] -= gseg
+        grad_dt += np.where(act_v, -2.0 * weights.w_vel * hv * e / (dts * dts), 0.0)
+
+    if n >= 3:
+        vel = seg / dts[:, None]
+        dv = vel[1:] - vel[:-1]
+        tau = 0.5 * (dts[:-1] + dts[1:])
+        nrm = np.hypot(dv[:, 0], dv[:, 1])
+        amag = nrm / tau
+        ha = np.maximum(amag - limits.a_max, 0.0)
+        cost += weights.w_acc * float((ha * ha).sum())
+        act_a = (ha > 0.0) & (nrm > _EPS)
+        if act_a.any():
+            g = np.where(act_a, 2.0 * weights.w_acc * ha, 0.0)
+            u_vec = (g / (np.where(act_a, nrm, 1.0) * tau))[:, None] * dv  # dJ/d(dv)
+            inv0 = 1.0 / dts[:-1]
+            inv1 = 1.0 / dts[1:]
+            grad_p[:-2] += u_vec * inv0[:, None]
+            grad_p[1:-1] -= u_vec * (inv0 + inv1)[:, None]
+            grad_p[2:] += u_vec * inv1[:, None]
+            dtau = -0.5 * g * nrm / (tau * tau)
+            grad_dt[:-1] += np.einsum("mk,mk->m", u_vec, vel[:-1]) * inv0 + dtau
+            grad_dt[1:] += -np.einsum("mk,mk->m", u_vec, vel[1:]) * inv1 + dtau
+
+    grad_p[0] = 0.0
+    grad_p[-1] = 0.0
+    return cost, grad_p, grad_dt
+
+
+def ref_adapt_arrays(
+    p: np.ndarray, dts: np.ndarray, params: DensityParams
+) -> tuple[np.ndarray, np.ndarray]:
+    pts = [row.copy() for row in p]
+    durs = list(dts)
+    for _ in range(200):
+        changed = False
+
+        # Insertion: split any segment longer than its applicable bound.
+        kappa = state_curvatures(np.array(pts))
+        bend = kappa > params.kappa_thresh
+        i = 0
+        while i < len(durs):
+            length = float(np.hypot(*(pts[i + 1] - pts[i])))
+            limit = params.d_max_bend if (bend[i] or bend[i + 1]) else params.d_max
+            if length > limit + 1e-12:
+                mid = 0.5 * (pts[i] + pts[i + 1])
+                half = 0.5 * durs[i]
+                pts.insert(i + 1, mid)
+                durs[i] = half
+                durs.insert(i + 1, half)
+                # Splitting is shape-preserving, so bend flags stay usable;
+                # extend them for the new collinear state (curvature 0 there).
+                bend = np.insert(bend, i + 1, False)
+                changed = True
+            i += 1
+
+        # Removal: drop interior states in over-dense straight stretches,
+        # but only when the merged segment stays within its bound.
+        removed = True
+        while removed:
+            removed = False
+            arr = np.array(pts)
+            kappa = state_curvatures(arr)
+            bend = kappa > params.kappa_thresh
+            for i in range(1, len(pts) - 1):
+                la = float(np.hypot(*(pts[i] - pts[i - 1])))
+                lb = float(np.hypot(*(pts[i + 1] - pts[i])))
+                if la >= params.d_min or lb >= params.d_min or bend[i]:
+                    continue
+                merged = float(np.hypot(*(pts[i + 1] - pts[i - 1])))
+                limit = params.d_max_bend if (bend[i - 1] or bend[i + 1]) else params.d_max
+                if merged > limit:
+                    continue
+                pts.pop(i)
+                durs[i - 1] += durs.pop(i)
+                removed = True
+                changed = True
+                break
+
+        if not changed:
+            break
+    return np.array(pts), np.array(durs)
+
+
+def ref_descend(
+    p: np.ndarray,
+    dts: np.ndarray,
+    obs: _ObstacleArrays,
+    weights: CostWeights,
+    limits: KinodynamicLimits,
+    clearance: float,
+    max_inner: int,
+    rel_tol: float,
+    on_accept: Optional[Callable[[float, float], None]],
+    alphas: tuple[float, float] = (0.1, 0.1),
+) -> tuple[np.ndarray, np.ndarray, float, int, bool, tuple[float, float]]:
+    """Monotone gradient descent with per-block spectral (Barzilai-Borwein)
+    step sizes for positions and durations, guarded by a halving line search
+    that only ever accepts a strict cost decrease.
+
+    The two blocks live on very different curvature scales (obstacle walls vs
+    the linear time term), so a shared step size strangles whichever block is
+    momentarily free to move. ``alphas`` carries the step scales in from the
+    previous round.
+    """
+    cost, grad_p, grad_dt = ref_cost_grad_arrays(p, dts, obs, weights, limits, clearance)
+    if not math.isfinite(cost):
+        raise OptimizationError("non-finite cost at descent start")
+    alpha_p, alpha_dt = alphas
+    iters = 0
+    converged = False
+
+    def bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
+        ss = float((s * s).sum())
+        sy = float((s * y).sum())
+        if sy > 1e-16:
+            return min(max(ss / sy, 1e-8), 1e3)
+        return min(fallback * 2.0, 1e3)
+
+    for _ in range(max_inner):
+        theta = 1.0
+        accepted = False
+        for _ in range(16):
+            p_try = p - (theta * alpha_p) * grad_p
+            dt_try = np.maximum(dts - (theta * alpha_dt) * grad_dt, DT_FLOOR)
+            c_try = ref_cost_arrays(p_try, dt_try, obs, weights, limits, clearance)
+            if math.isfinite(c_try) and c_try < cost:
+                accepted = True
+                break
+            theta *= 0.5
+        if not accepted:
+            converged = True
+            break
+        if on_accept is not None:
+            on_accept(cost, c_try)
+        rel = (cost - c_try) / max(abs(cost), _EPS)
+        iters += 1
+        if rel < rel_tol:
+            p, dts, cost = p_try, dt_try, c_try
+            converged = True
+            break
+        check, gp_new, gdt_new = ref_cost_grad_arrays(
+            p_try, dt_try, obs, weights, limits, clearance
+        )
+        if not math.isfinite(check):
+            raise OptimizationError("non-finite cost during descent")
+        alpha_p = bb_step(p_try - p, gp_new - grad_p, theta * alpha_p)
+        alpha_dt = bb_step(dt_try - dts, gdt_new - grad_dt, theta * alpha_dt)
+        p, dts, cost = p_try, dt_try, c_try
+        grad_p, grad_dt = gp_new, gdt_new
+    return p, dts, cost, iters, converged, (alpha_p, alpha_dt)
+
+
+def ref_optimize_candidate(seed, obstacles, weights, limits, density):
+    p, dts = _seed_arrays(seed, density.d_max, 0.5 * limits.v_max)
+    obs = _ObstacleArrays(obstacles)
+    iterations = 0
+    converged = False
+    for outer in range(OUTER_ROUNDS):
+        p, dts, _, n_iters, converged, _ = ref_descend(
+            p, dts, obs, dynamic_weights(weights, outer), limits, CLEARANCE_BUFFER,
+            MAX_INNER_ITERS, REL_TOL, None,
+        )
+        iterations += n_iters
+        p, dts = ref_adapt_arrays(p, dts, density)
+    final_cost = ref_cost_arrays(p, dts, obs, weights, limits, CLEARANCE_BUFFER)
+    sig = winding_signature([Vec2(float(x), float(y)) for x, y in p], obstacles)
+    report = OptimizeReport(
+        final_cost=final_cost,
+        iterations=iterations,
+        converged=converged,
+        signature_preserved=signatures_equivalent(sig, seed.signature),
+    )
+    return p, dts, report
+
+
+ORACLE_WEIGHTS = (
+    WEIGHTS,
+    CostWeights(),
+    CostWeights(1.0, 0.0, 0.5, 200.0, 200.0),
+    CostWeights(1.0, 10.0, 0.0, 200.0, 200.0),
+    CostWeights(0.0, 10.0, 0.5, 0.0, 5.0),
+)
+
+
+def oracle_problems(seed, count):
+    """random_problem draws of 2..30 states under every ORACLE_WEIGHTS entry;
+    a quarter without obstacles, a quarter with obstacles on the path, and
+    half re-timed near v_max so that no term swamps the others."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        traj, obstacles = random_problem(rng, n=int(rng.integers(2, 31)))
+        p = traj.positions()
+        dts = traj.durations()
+        if k % 2:
+            seg = np.diff(p, axis=0)
+            dts = np.maximum(np.hypot(seg[:, 0], seg[:, 1]) / rng.uniform(0.3, 0.6, len(seg)), 0.01)
+        if k % 4 == 0:
+            obstacles = []
+        elif k % 4 == 1:
+            obstacles = [
+                ObstacleState(Vec2(*(p[i] + rng.normal(0.0, 0.1, 2))), o.velocity, safety_radius=0.4,
+                              model=MotionModel.CONST_VELOCITY)
+                for o, i in zip(obstacles, rng.integers(0, len(p), len(obstacles)))
+            ]
+        weights = ORACLE_WEIGHTS[k % len(ORACLE_WEIGHTS)]
+        yield p, dts, _ObstacleArrays(obstacles), weights
+
+
+ORACLE_DENSITIES = (
+    DensityParams(),
+    DensityParams(0.1, 0.5, 0.2, 1.5),
+    DensityParams(0.2, 0.3, 0.25, 0.5),  # merges can overrun both bounds
+)
+
+
+def oracle_polylines(seed, params):
+    """Random, curved and near-threshold polylines."""
+    rng = np.random.default_rng(seed)
+    for k in range(100):
+        n = int(rng.integers(2, 40))
+        scale = (0.02, 0.08, 0.2, 0.5)[k % 4]
+        yield np.cumsum(rng.normal(0.0, scale, (n, 2)), axis=0)
+        radius = rng.uniform(0.1, 3.0)
+        theta = np.linspace(0.0, rng.uniform(0.3, 2.0 * math.pi), n)
+        yield radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    spacings = (params.d_min, params.d_max_bend, params.d_max)
+    # full spacings test the split bounds, half spacings the merge bounds
+    for step in [s + nudge for s in spacings for nudge in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)] + [
+        0.5 * (s + nudge) for s in spacings for nudge in (-1e-12, 0.0, 1e-12)
+    ]:
+        xs = np.arange(12) * step
+        yield np.column_stack([xs, np.zeros(12)])
+        # a right-angle corner at the middle state
+        yield np.column_stack([
+            np.concatenate([xs[:6], np.full(6, xs[5])]),
+            np.concatenate([np.zeros(6), xs[1:7]]),
+        ])
+    for step in (0.005, 0.02, 0.04):  # dense straight runs that must merge
+        xs = np.arange(25) * step
+        yield np.column_stack([xs, 1e-4 * np.sin(7.0 * xs)])
+
+
+class TestAgainstPreviousKernels:
+    def test_evaluate_and_gradient_bitwise(self):
+        for p, dts, obs, w in oracle_problems(11, 200):
+            want = ref_cost_arrays(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
+            want_grad = ref_cost_grad_arrays(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
+            ev = _evaluate(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
+            assert ev.cost == want == want_grad[0]
+            grad_p, grad_dt = _gradient(ev)
+            assert np.array_equal(grad_p, want_grad[1])
+            assert np.array_equal(grad_dt, want_grad[2])
+
+    def test_bounded_evaluation_rejects_exactly(self):
+        for p, dts, obs, w in oracle_problems(12, 200):
+            full = ref_cost_arrays(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
+            bounds = [full, np.nextafter(full, math.inf), np.nextafter(full, -math.inf)]
+            # every ordered sub-sum of the five terms, by zeroing the others
+            terms = (w.w_time, w.w_obstacle, w.w_smooth, w.w_vel, w.w_acc)
+            for keep in itertools.product((0.0, 1.0), repeat=5):
+                kept = [x * k for x, k in zip(terms, keep)]
+                if any(kept):
+                    part = ref_cost_arrays(p, dts, obs, CostWeights(*kept), LIMITS, CLEARANCE_BUFFER)
+                    bounds += [part, np.nextafter(part, math.inf)]
+            for bound in bounds:
+                ev = _evaluate(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER, bound=float(bound))
+                assert (ev is None) == (not full < bound)
+                if ev is not None:
+                    assert ev.cost == full
+
+    def test_adapt_arrays_bitwise(self):
+        rng = np.random.default_rng(13)
+        grew = shrank = 0
+        for params in ORACLE_DENSITIES:
+            for p in oracle_polylines(14, params):
+                dts = rng.uniform(0.01, 0.6, len(p) - 1)
+                want_p, want_dt = ref_adapt_arrays(p.copy(), dts.copy(), params)
+                got_p, got_dt = _adapt_arrays(p.copy(), dts.copy(), params)
+                assert np.array_equal(got_p, want_p)
+                assert np.array_equal(got_dt, want_dt)
+                grew += len(want_p) > len(p)
+                shrank += len(want_p) < len(p)
+        assert grew > 50 and shrank > 50
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_optimize_candidate_bitwise_on_bundled_seeds(self, name, scenario_paths):
+        sc = parse_scenario(str(scenario_paths[name]))
+        seeds = enumerate_seed_paths(
+            sc.start, sc.goal, sc.obstacles, sc.max_classes, sc.margin,
+            conflict_speed=sc.limits.v_max,
+        )
+        assert seeds
+        for seed in seeds:
+            traj, report = optimize_candidate(seed, sc.obstacles, sc.weights, sc.limits, sc.density)
+            want_p, want_dt, want_report = ref_optimize_candidate(
+                seed, sc.obstacles, sc.weights, sc.limits, sc.density
+            )
+            assert np.array_equal(traj.positions(), want_p)
+            assert np.array_equal(traj.durations(), want_dt)
+            assert report == want_report

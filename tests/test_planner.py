@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kinoplan.geometry import ObstacleState, Vec2
+from kinoplan.geometry import MotionModel, ObstacleState, Trajectory, Vec2
 from kinoplan.homotopy import HomotopySignature, signatures_equivalent
 from kinoplan.planner import (
     CandidateInfo,
@@ -190,3 +194,75 @@ class TestSimulateRun:
         trace = simulate_run(scenario, seed=0)
         assert trace.status == "timeout"
         assert trace.plan_failures >= 1
+
+
+def _oracle_trajectory_is_free(traj, obstacles, margin):
+    """The per-segment ``np.linspace`` loop that ``trajectory_is_free`` batches."""
+    if not obstacles:
+        return True
+    pts = traj.positions()
+    dts = traj.durations()
+    times = np.concatenate(([0.0], np.cumsum(dts)))
+    seg = np.diff(pts, axis=0)
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    sample_x, sample_y, sample_t = [], [], []
+    for i in range(len(seg)):
+        steps = max(int(math.ceil(lengths[i] / 0.05)), int(math.ceil(dts[i] / 0.05)), 1)
+        s = np.linspace(0.0, 1.0, steps + 1)
+        sample_x.append(pts[i, 0] + seg[i, 0] * s)
+        sample_y.append(pts[i, 1] + seg[i, 1] * s)
+        sample_t.append(times[i] + dts[i] * s)
+    px = np.concatenate(sample_x)
+    py = np.concatenate(sample_y)
+    pt = np.concatenate(sample_t)
+    pt2 = 0.5 * pt * pt
+    for obs in obstacles:
+        cx = obs.position.x + obs.velocity.x * pt + obs.acceleration.x * pt2
+        cy = obs.position.y + obs.velocity.y * pt + obs.acceleration.y * pt2
+        d2 = (px - cx) ** 2 + (py - cy) ** 2
+        limit = obs.safety_radius + margin
+        if not np.all(d2 > limit * limit):
+            return False
+    return True
+
+
+_coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+_small = st.floats(min_value=-0.3, max_value=0.3, allow_nan=False)
+_moving_obstacle = st.builds(
+    lambda x, y, vx, vy, ax, ay, r: ObstacleState(
+        Vec2(x, y), Vec2(vx, vy), Vec2(ax, ay), safety_radius=r,
+        model=MotionModel.CONST_ACCELERATION,
+    ),
+    _coord, _coord, _small, _small, _small, _small,
+    st.floats(min_value=0.05, max_value=0.6, allow_nan=False),
+)
+
+
+class TestTrajectoryIsFreeOracle:
+    @given(
+        points=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=8),
+        dts=st.lists(st.floats(min_value=0.01, max_value=1.5, allow_nan=False),
+                     min_size=7, max_size=7),
+        obstacles=st.lists(_moving_obstacle, min_size=0, max_size=4),
+        margin=st.sampled_from([0.0, 0.05]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_segment_loop(self, points, dts, obstacles, margin):
+        traj = Trajectory.from_waypoints([Vec2(x, y) for x, y in points], dts[: len(points) - 1])
+        assert trajectory_is_free(traj, obstacles, margin) == _oracle_trajectory_is_free(
+            traj, obstacles, margin
+        )
+
+    def test_exact_touch_decided_like_the_loop(self):
+        # The obstacle rides along with the vehicle and is closest at t = 1 s,
+        # where its predicted center is exactly r away: the d2 > r*r test
+        # says "not free", and any rounding slip in the prediction flips it.
+        traj = Trajectory.from_waypoints([Vec2(0, 0), Vec2(1, 0)], [2.0])
+        for r in (0.25, 0.25 - 1e-12):
+            obstacles = [ObstacleState(
+                Vec2(0.0, 1.25), Vec2(0.5, -2.0), Vec2(0.0, 2.0), safety_radius=r,
+                model=MotionModel.CONST_ACCELERATION,
+            )]
+            want = _oracle_trajectory_is_free(traj, obstacles, 0.0)
+            assert want == (r < 0.25)
+            assert trajectory_is_free(traj, obstacles, 0.0) == want
