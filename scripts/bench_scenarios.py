@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Latency sweep over the bundled scenarios: repeated single-threaded plans."""
+"""Latency sweep over the bundled scenarios: repeated plans."""
 import pathlib
 import sys
 import time
@@ -22,7 +22,7 @@ def main() -> int:
         times = []
         for _ in range(reps):
             tic = time.perf_counter()
-            plan_once(scenario, scenario.obstacles, threads=1)
+            plan_once(scenario, scenario.obstacles)
             times.append((time.perf_counter() - tic) * 1000.0)
         print(
             f"{name:<12} {np.min(times):8.2f} {np.mean(times):8.2f} "

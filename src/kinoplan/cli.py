@@ -48,7 +48,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _cmd_plan(args: argparse.Namespace) -> int:
     scenario = parse_scenario(args.scenario)
     try:
-        result = plan_once(scenario, scenario.obstacles, threads=args.threads)
+        result = plan_once(scenario, scenario.obstacles)
     except PlanFailure as exc:
         print(f"plan failed: {exc}", file=sys.stderr)
         return EXIT_PLAN_FAILURE
@@ -111,7 +111,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for _ in range(args.repetitions):
         tic = time.perf_counter()
         try:
-            result = plan_once(scenario, scenario.obstacles, threads=args.threads)
+            result = plan_once(scenario, scenario.obstacles)
         except PlanFailure as exc:
             print(f"bench: plan failed: {exc}", file=sys.stderr)
             return EXIT_PLAN_FAILURE
@@ -134,7 +134,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed for detection noise")
-    common.add_argument("--threads", type=int, default=1, help="max concurrent candidate optimizations")
 
     parser = argparse.ArgumentParser(prog="kinoplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

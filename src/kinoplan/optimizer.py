@@ -24,6 +24,13 @@ CLEARANCE_BUFFER = 0.1
 DT_FLOOR = 0.01          # segment durations never drop below this, s
 _EPS = 1e-12
 _PERP = np.array([-1.0, 1.0])   # (x, y) reversed times this is perp(x)
+_NEG_PERP = -_PERP
+# The reductions behind ndarray.sum/.min/.max and np.cumsum, called directly:
+# same results, without the Python-level wrappers around them.
+_sum = np.add.reduce
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_cumsum = np.add.accumulate
 
 
 class OptimizationError(RuntimeError):
@@ -89,57 +96,73 @@ REL_TOL = 1e-4
 
 
 class _ObstacleArrays:
-    """Column layout of obstacle states for vectorized kernels."""
+    """Obstacle states as (2, 1, M) x/y planes: one broadcast against the
+    (N, 1) column of state times gives both coordinates of every predicted
+    center at once."""
 
     __slots__ = ("pos", "vel", "acc", "radius", "count")
 
     def __init__(self, obstacles: Sequence[ObstacleState]) -> None:
         self.count = len(obstacles)
-        if self.count:
-            self.pos = np.array([(o.position.x, o.position.y) for o in obstacles])
-            self.vel = np.array([(o.velocity.x, o.velocity.y) for o in obstacles])
-            self.acc = np.array([(o.acceleration.x, o.acceleration.y) for o in obstacles])
-            self.radius = np.array([o.safety_radius for o in obstacles])
-        else:
-            self.pos = self.vel = self.acc = np.zeros((0, 2))
-            self.radius = np.zeros(0)
+
+        def planes(vecs: list[Vec2]) -> np.ndarray:
+            return np.array([[v.x for v in vecs], [v.y for v in vecs]]).reshape(2, 1, self.count)
+
+        self.pos = planes([o.position for o in obstacles])
+        self.vel = planes([o.velocity for o in obstacles])
+        self.acc = planes([o.acceleration for o in obstacles])
+        self.radius = np.array([o.safety_radius for o in obstacles], dtype=float)
 
 
-def _curvature_terms(p: np.ndarray):
-    """Menger curvature pieces for interior points of an (N,2) polyline."""
-    u = p[1:-1] - p[:-2]
-    v = p[2:] - p[1:-1]
+def _curvature(p: np.ndarray, seg: np.ndarray, e: np.ndarray):
+    """Menger curvature pieces for the interior states of an (N,2) polyline.
+
+    ``seg`` and ``e`` are its segment vectors and lengths: the stencil at
+    state i has sides u = seg[i-1], v = seg[i] of lengths a = e[i-1],
+    b = e[i], and the chord w = p[i+1] - p[i-1] of length c. Returns
+    (w, c, abc, kappa, valid), where ``abc`` is a*b*c (1 at a degenerate
+    stencil), and ``valid`` marks the stencils whose three lengths all exceed
+    1e-9, or is None when every stencil does.
+    """
     w = p[2:] - p[:-2]
-    a = np.hypot(u[:, 0], u[:, 1])
-    b = np.hypot(v[:, 0], v[:, 1])
     c = np.hypot(w[:, 0], w[:, 1])
-    valid = (a > 1e-9) & (b > 1e-9) & (c > 1e-9)
-    denom = np.where(valid, a * b * c, 1.0)
-    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-    kappa = np.where(valid, 2.0 * cross / denom, 0.0)
-    return u, v, w, a, b, c, cross, kappa, valid
+    cross = seg[:-1, 0] * seg[1:, 1] - seg[:-1, 1] * seg[1:, 0]
+    abc = e[:-1] * e[1:] * c
+    if _min(e) > 1e-9 and _min(c) > 1e-9:
+        return w, c, abc, 2.0 * cross / abc, None
+    valid = (e[:-1] > 1e-9) & (e[1:] > 1e-9) & (c > 1e-9)
+    abc = np.where(valid, abc, 1.0)
+    return w, c, abc, np.where(valid, 2.0 * cross / abc, 0.0), valid
+
+
+def _state_curvatures(p: np.ndarray, seg: np.ndarray, e: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(p))
+    if len(p) >= 3:
+        out[1:-1] = np.abs(_curvature(p, seg, e)[3])
+    return out
 
 
 def state_curvatures(p: np.ndarray) -> np.ndarray:
     """|Menger curvature| per state; endpoints are 0 by convention."""
-    n = len(p)
-    out = np.zeros(n)
-    if n >= 3:
-        out[1:-1] = np.abs(_curvature_terms(p)[7])
-    return out
+    seg = p[1:] - p[:-1]
+    return _state_curvatures(p, seg, np.hypot(seg[:, 0], seg[:, 1]))
 
 
-def _obstacle_geometry(p: np.ndarray, dts: np.ndarray, obs: _ObstacleArrays):
-    """Per-state/per-obstacle displacement planes against predicted centers."""
-    t = np.empty(len(p))
-    t[0] = 0.0
-    np.cumsum(dts, out=t[1:])
-    tc = t[:, None]
-    tc2 = 0.5 * tc * tc
-    dx = p[:, 0][:, None] - (obs.pos[None, :, 0] + obs.vel[None, :, 0] * tc + obs.acc[None, :, 0] * tc2)
-    dy = p[:, 1][:, None] - (obs.pos[None, :, 1] + obs.vel[None, :, 1] * tc + obs.acc[None, :, 1] * tc2)
-    dist = np.sqrt(dx * dx + dy * dy)
-    return t, dx, dy, dist
+def _active(h: np.ndarray, length: np.ndarray):
+    """Hinge values and lengths with the inactive entries masked out.
+
+    An entry is active when its hinge ``h`` (>= 0) is positive and its length
+    exceeds _EPS. Inactive entries come back as hinge 0 and length 1, so a
+    gradient factor ``k * h / length`` is +0 there. When every length exceeds
+    _EPS, the inactive entries are exactly those with h == 0, whose factor is
+    already +0, so the arrays come back unmasked. None when nothing is active.
+    """
+    if _min(length, None) > _EPS:
+        return (h, length) if _max(h, None) > 0.0 else None
+    active = (h > 0.0) & (length > _EPS)
+    if not active.any():
+        return None
+    return np.where(active, h, 0.0), np.where(active, length, 1.0)
 
 
 class _Evaluation(NamedTuple):
@@ -154,8 +177,8 @@ class _Evaluation(NamedTuple):
     e: np.ndarray
     hv: np.ndarray
     accel: Optional[tuple]       # vel, dv, tau, nrm, ha; None below three states
-    curvature: Optional[tuple]   # _curvature_terms(p); None without smoothing
-    obstacle: Optional[tuple]    # t, dx, dy, dist, h; None without obstacles
+    curvature: Optional[tuple]   # _curvature(p, seg, e) + (a + b,); None without smoothing
+    obstacle: Optional[tuple]    # t, d (2,N,M), dist, h; None without obstacles
 
 
 def _evaluate(
@@ -184,8 +207,8 @@ def _evaluate(
     seg = p[1:] - p[:-1]
     e = np.hypot(seg[:, 0], seg[:, 1])
     hv = np.maximum(e / dts - limits.v_max, 0.0)
-    time_term = weights.w_time * float(dts.sum())
-    vel_term = weights.w_vel * float((hv * hv).sum())
+    time_term = weights.w_time * float(_sum(dts))
+    vel_term = weights.w_vel * float(_sum(hv * hv))
     if time_term + vel_term >= bound:
         return None
 
@@ -197,23 +220,31 @@ def _evaluate(
         tau = 0.5 * (dts[:-1] + dts[1:])
         nrm = np.hypot(dv[:, 0], dv[:, 1])
         ha = np.maximum(nrm / tau - limits.a_max, 0.0)
-        acc_term = weights.w_acc * float((ha * ha).sum())
+        acc_term = weights.w_acc * float(_sum(ha * ha))
         if time_term + vel_term + acc_term >= bound:
             return None
         accel = (vel, dv, tau, nrm, ha)
 
         if weights.w_smooth > 0.0:  # smoothness needs an interior point
-            curvature = _curvature_terms(p)
-            _, _, _, a, b, _, _, kappa, _ = curvature
-            smooth_term = weights.w_smooth * float((kappa * kappa * 0.5 * (a + b)).sum())
+            ab = e[:-1] + e[1:]
+            curvature = _curvature(p, seg, e) + (ab,)
+            kappa = curvature[3]
+            smooth_term = weights.w_smooth * float(_sum(kappa * kappa * 0.5 * ab))
             if time_term + smooth_term + vel_term + acc_term >= bound:
                 return None
 
     if obs.count:
-        t, dx, dy, dist = _obstacle_geometry(p, dts, obs)
-        h = np.maximum(obs.radius[None, :] + clearance - dist, 0.0)
-        obstacle_term = weights.w_obstacle * float((h * h).sum())
-        obstacle = (t, dx, dy, dist, h)
+        t = np.empty(n)
+        t[0] = 0.0
+        _cumsum(dts, out=t[1:])
+        tc = t[:, None]
+        # x and y planes of the state-minus-predicted-center displacements
+        d = p.T[:, :, None] - (obs.pos + obs.vel * tc + obs.acc * (0.5 * tc * tc))
+        sq = d * d
+        dist = np.sqrt(sq[0] + sq[1])
+        h = np.maximum(obs.radius + clearance - dist, 0.0)
+        obstacle_term = weights.w_obstacle * float(_sum(h * h, None))
+        obstacle = (t, d, dist, h)
 
     cost = time_term + obstacle_term + smooth_term + vel_term + acc_term
     if not (math.isfinite(cost) and cost < bound):
@@ -225,73 +256,83 @@ def _gradient(ev: _Evaluation) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of ``ev.cost`` wrt positions ((N,2), endpoints zero)
     and durations ((N-1,))."""
     p, dts, obs, weights = ev.p, ev.dts, ev.obs, ev.weights
-    grad_p = np.zeros_like(p)
+    grad_p = np.zeros(p.shape)
     grad_dt = np.full(len(dts), weights.w_time)
 
     if ev.obstacle is not None:
-        t, dx, dy, dist, h = ev.obstacle
-        active = (h > 0.0) & (dist > _EPS)
-        if active.any():
-            coef = np.where(active, 2.0 * weights.w_obstacle * h / np.where(active, dist, 1.0), 0.0)
-            grad_p[:, 0] -= (coef * dx).sum(axis=1)
-            grad_p[:, 1] -= (coef * dy).sum(axis=1)
+        t, d, dist, h = ev.obstacle
+        active = _active(h, dist)
+        if active is not None:
+            h, dist_safe = active
+            coef = 2.0 * weights.w_obstacle * h / dist_safe
+            grad_p -= _sum(coef * d, 2).T
             # Times enter through the predicted centers; each dt moves every
             # later state's sampling time.
-            tc = t[:, None]
-            cdot_x = obs.vel[None, :, 0] + obs.acc[None, :, 0] * tc
-            cdot_y = obs.vel[None, :, 1] + obs.acc[None, :, 1] * tc
-            s_i = (coef * (dx * cdot_x + dy * cdot_y)).sum(axis=1)
-            tail = np.cumsum(s_i[::-1])[::-1]
-            grad_dt += tail[1:]
+            cdot = d * (obs.vel + obs.acc * t[:, None])
+            s_i = _sum(coef * (cdot[0] + cdot[1]), 1)
+            grad_dt += _cumsum(s_i[::-1])[-2::-1]
 
+    seg, e = ev.seg, ev.e
     if ev.curvature is not None:
-        u, v, w, a, b, c, cross, kappa, valid = ev.curvature
-        ell = 0.5 * (a + b)
-        safe_abc = np.where(valid, a * b * c, 1.0)
-        sa = np.where(valid, a, 1.0)
-        sb = np.where(valid, b, 1.0)
-        sc = np.where(valid, c, 1.0)
-        dk = np.where(valid, 2.0 * weights.w_smooth * kappa * ell, 0.0)  # dJ/dkappa
-        dl = np.where(valid, weights.w_smooth * kappa * kappa, 0.0)      # dJ/dell
-        # kappa = 2*cross/(a*b*c)
-        g_cross = dk * 2.0 / safe_abc
-        g_a = -dk * kappa / sa + 0.5 * dl
-        g_b = -dk * kappa / sb + 0.5 * dl
-        g_c = -dk * kappa / sc
-        uh = u / sa[:, None]
-        vh = v / sb[:, None]
-        wh = w / sc[:, None]
-        # perp(x) = (-x_y, x_x); d(cross)/dp for the three stencil points
-        cross_dprev = v[:, ::-1] * _PERP    # perp(v)
-        cross_dmid = w[:, ::-1] * -_PERP    # -perp(w)
-        cross_dnext = u[:, ::-1] * _PERP    # perp(u)
-        grad_p[:-2] += g_cross[:, None] * cross_dprev - g_a[:, None] * uh - g_c[:, None] * wh
-        grad_p[1:-1] += g_cross[:, None] * cross_dmid + g_a[:, None] * uh - g_b[:, None] * vh
-        grad_p[2:] += g_cross[:, None] * cross_dnext + g_b[:, None] * vh + g_c[:, None] * wh
+        w, c, abc, kappa, valid, ab = ev.curvature
+        ell = 0.5 * ab
+        if valid is None:
+            sa, sb, sc = e[:-1], e[1:], c
+            dk = 2.0 * weights.w_smooth * kappa * ell  # dJ/dkappa
+            dl = weights.w_smooth * kappa * kappa      # dJ/dell
+            unit = seg / e[:, None]
+            uh, vh = unit[:-1], unit[1:]
+        else:
+            sa = np.where(valid, e[:-1], 1.0)
+            sb = np.where(valid, e[1:], 1.0)
+            sc = np.where(valid, c, 1.0)
+            dk = np.where(valid, 2.0 * weights.w_smooth * kappa * ell, 0.0)
+            dl = np.where(valid, weights.w_smooth * kappa * kappa, 0.0)
+            uh = seg[:-1] / sa[:, None]
+            vh = seg[1:] / sb[:, None]
+        # kappa = 2*cross/(a*b*c), so dJ/da = -dk*kappa/a + dl/2, likewise
+        # for b, and dJ/dc = -dk*kappa/c. IEEE negation is exact, so each
+        # "x + (-y)" below is written "x - y" with the same result.
+        q = dk * kappa
+        half_dl = 0.5 * dl
+        g_cross = (dk * 2.0 / abc)[:, None]
+        g_a = (half_dl - q / sa)[:, None] * uh
+        g_b = (half_dl - q / sb)[:, None] * vh
+        g_c = (q / sc)[:, None] * (w / sc[:, None])  # -dJ/dc along w
+        # perp(x) = (-x_y, x_x); d(cross)/dp for the three stencil points is
+        # perp(v), -perp(w) and perp(u), with u = seg[:-1] and v = seg[1:]
+        perp = seg[:, ::-1] * _PERP
+        grad_p[:-2] += g_cross * perp[1:] - g_a + g_c
+        grad_p[1:-1] += g_cross * (w[:, ::-1] * _NEG_PERP) + g_a - g_b
+        grad_p[2:] += g_cross * perp[:-1] + g_b - g_c
 
-    seg, e, hv = ev.seg, ev.e, ev.hv
-    act_v = (hv > 0.0) & (e > _EPS)
-    if act_v.any():
-        coef = np.where(act_v, 2.0 * weights.w_vel * hv / (np.where(act_v, e, 1.0) * dts), 0.0)
-        gseg = coef[:, None] * seg
+    active = _active(ev.hv, e)
+    if active is not None:
+        hv, e_safe = active
+        g = 2.0 * weights.w_vel * hv
+        gseg = (g / (e_safe * dts))[:, None] * seg
         grad_p[1:] += gseg
         grad_p[:-1] -= gseg
-        grad_dt += np.where(act_v, -2.0 * weights.w_vel * hv * e / (dts * dts), 0.0)
+        grad_dt -= g * e_safe / (dts * dts)
 
     if ev.accel is not None:
         vel, dv, tau, nrm, ha = ev.accel
-        act_a = (ha > 0.0) & (nrm > _EPS)
-        if act_a.any():
-            g = np.where(act_a, 2.0 * weights.w_acc * ha, 0.0)
-            u_vec = (g / (np.where(act_a, nrm, 1.0) * tau))[:, None] * dv  # dJ/d(dv)
-            inv0 = 1.0 / dts[:-1]
-            inv1 = 1.0 / dts[1:]
+        active = _active(ha, nrm)
+        if active is not None:
+            ha, n_safe = active
+            g = 2.0 * weights.w_acc * ha
+            u_vec = (g / (n_safe * tau))[:, None] * dv  # dJ/d(dv)
+            inv = 1.0 / dts
+            inv0, inv1 = inv[:-1], inv[1:]
             grad_p[:-2] += u_vec * inv0[:, None]
             grad_p[1:-1] -= u_vec * (inv0 + inv1)[:, None]
             grad_p[2:] += u_vec * inv1[:, None]
             dtau = -0.5 * g * nrm / (tau * tau)
-            grad_dt[:-1] += np.einsum("mk,mk->m", u_vec, vel[:-1]) * inv0 + dtau
-            grad_dt[1:] += -np.einsum("mk,mk->m", u_vec, vel[1:]) * inv1 + dtau
+            # dJ/d(dv) . dv/d(dt): row-wise dot products of u_vec and vel
+            uv = u_vec * vel[:-1]
+            grad_dt[:-1] += (uv[:, 0] + uv[:, 1]) * inv0 + dtau
+            uv = u_vec * vel[1:]
+            grad_dt[1:] += dtau - (uv[:, 0] + uv[:, 1]) * inv1
 
     grad_p[0] = 0.0
     grad_p[-1] = 0.0
@@ -370,7 +411,9 @@ def _split_segments(
     midpoint counts as straight, so a tail half is held to ``d_max_bend``
     only when the segment's far end is a bend.
     """
-    bend = state_curvatures(p) > params.kappa_thresh
+    d = p[1:] - p[:-1]
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    bend = _state_curvatures(p, d, lengths) > params.kappa_thresh
     end = p[1:]
     tail_limit = np.where(bend[1:], params.d_max_bend, params.d_max) + 1e-12
     limit = np.where(bend[:-1], params.d_max_bend + 1e-12, tail_limit)
@@ -379,11 +422,7 @@ def _split_segments(
     owners: list[np.ndarray] = []    # level k: indices of the segments split k+1 times
     idx = np.arange(len(dts))
     tail, dur = p[:-1], dts
-    while len(idx):
-        d = end[idx] - tail
-        split = np.hypot(d[:, 0], d[:, 1]) > limit
-        if not split.any():
-            break
+    while (split := lengths > limit).any():
         idx = idx[split]
         tail = 0.5 * (tail[split] + end[idx])
         dur = 0.5 * dur[split]
@@ -391,6 +430,8 @@ def _split_segments(
         mids.append(tail)
         halves.append(dur)
         owners.append(idx)
+        d = end[idx] - tail
+        lengths = np.hypot(d[:, 0], d[:, 1])
     if not mids:
         return p, dts, False
     counts = np.bincount(np.concatenate(owners), minlength=len(dts))
@@ -417,9 +458,9 @@ def _merge_one(
     bound; None when no state qualifies."""
     if len(p) < 3:
         return None
-    bend = state_curvatures(p) > params.kappa_thresh
     seg = p[1:] - p[:-1]
     lengths = np.hypot(seg[:, 0], seg[:, 1])
+    bend = _state_curvatures(p, seg, lengths) > params.kappa_thresh
     span = p[2:] - p[:-2]
     merged = np.hypot(span[:, 0], span[:, 1])
     limit = np.where(bend[:-2] | bend[2:], params.d_max_bend, params.d_max)
@@ -471,7 +512,7 @@ def trajectory_density(traj: Trajectory, params: DensityParams = DEFAULT_DENSITY
     total = float(lengths.sum())
     if total <= 0.0:
         raise ValueError("trajectory has zero arc length")
-    kappa = state_curvatures(p)
+    kappa = _state_curvatures(p, seg, lengths)
     bend_state = kappa > params.kappa_thresh
     bend_seg = bend_state[:-1] | bend_state[1:]
 
@@ -509,6 +550,15 @@ def _seed_arrays(
     return p, dts
 
 
+def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
+    """Barzilai-Borwein step s.s / s.y, clamped; doubles ``fallback`` when the
+    curvature along ``s`` is not positive."""
+    sy = float(_sum(s * y, None))
+    if sy > 1e-16:
+        return min(max(float(_sum(s * s, None)) / sy, 1e-8), 1e3)
+    return min(fallback * 2.0, 1e3)
+
+
 def _descend(
     p: np.ndarray,
     dts: np.ndarray,
@@ -519,30 +569,21 @@ def _descend(
     max_inner: int,
     rel_tol: float,
     on_accept: Optional[Callable[[float, float], None]],
-    alphas: tuple[float, float] = (0.1, 0.1),
-) -> tuple[np.ndarray, np.ndarray, float, int, bool, tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
     """Monotone gradient descent with per-block spectral (Barzilai-Borwein)
     step sizes for positions and durations, guarded by a halving line search
     that only ever accepts a strict cost decrease.
 
     The two blocks live on very different curvature scales (obstacle walls vs
     the linear time term), so a shared step size strangles whichever block is
-    momentarily free to move. ``alphas`` carries the step scales in from the
-    previous round.
+    momentarily free to move. Both step scales start at 0.1.
     """
     ev = _evaluate_or_raise(p, dts, obs, weights, limits, clearance, "at descent start")
     cost = ev.cost
     grad_p, grad_dt = _gradient(ev)
-    alpha_p, alpha_dt = alphas
+    alpha_p = alpha_dt = 0.1
     iters = 0
     converged = False
-
-    def bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
-        ss = float((s * s).sum())
-        sy = float((s * y).sum())
-        if sy > 1e-16:
-            return min(max(ss / sy, 1e-8), 1e3)
-        return min(fallback * 2.0, 1e3)
 
     for _ in range(max_inner):
         theta = 1.0
@@ -566,11 +607,11 @@ def _descend(
             converged = True
             break
         gp_new, gdt_new = _gradient(trial)
-        alpha_p = bb_step(p_try - p, gp_new - grad_p, theta * alpha_p)
-        alpha_dt = bb_step(dt_try - dts, gdt_new - grad_dt, theta * alpha_dt)
+        alpha_p = _bb_step(p_try - p, gp_new - grad_p, theta * alpha_p)
+        alpha_dt = _bb_step(dt_try - dts, gdt_new - grad_dt, theta * alpha_dt)
         p, dts, cost = p_try, dt_try, c_try
         grad_p, grad_dt = gp_new, gdt_new
-    return p, dts, cost, iters, converged, (alpha_p, alpha_dt)
+    return p, dts, cost, iters, converged
 
 
 def optimize_candidate(
@@ -599,7 +640,7 @@ def optimize_candidate(
         # step scales reset each round: escalated weights and re-spaced
         # states change the curvature landscape under the descent
         w_round = dynamic_weights(weights, outer)
-        p, dts, _, n_iters, converged, _ = _descend(
+        p, dts, _, n_iters, converged = _descend(
             p, dts, obs, w_round, limits, clearance, max_inner, rel_tol, on_accept
         )
         iterations += n_iters

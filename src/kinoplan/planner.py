@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -194,7 +193,6 @@ def plan_once(
     scenario: Scenario,
     obstacles: Sequence[ObstacleState],
     start: Optional[Vec2] = None,
-    threads: int = 1,
     on_accept=None,
 ) -> PlanResult:
     """Plan a full trajectory from ``start`` (default scenario start) to the goal.
@@ -233,11 +231,7 @@ def plan_once(
         except OptimizationError:
             return None, None
 
-    if threads > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, seeds))
-    else:
-        outcomes = [run(s) for s in seeds]
+    outcomes = [run(s) for s in seeds]
 
     infos: list[CandidateInfo] = []
     trajectories: list[Optional[Trajectory]] = []

@@ -84,7 +84,7 @@ def test_criterion_2_latency(name, soft_ms, hard_ms, scenario_paths):
     times = []
     for _ in range(10):
         tic = time.perf_counter()
-        plan_once(scenario, scenario.obstacles, threads=1)
+        plan_once(scenario, scenario.obstacles)
         times.append((time.perf_counter() - tic) * 1000.0)
     mean = float(np.mean(times))
     report(

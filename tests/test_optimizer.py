@@ -31,10 +31,8 @@ from kinoplan.optimizer import (
     OptimizationError,
     OptimizeReport,
     _adapt_arrays,
-    _curvature_terms,
     _evaluate,
     _gradient,
-    _obstacle_geometry,
     _ObstacleArrays,
     _seed_arrays,
     _EPS,
@@ -46,7 +44,9 @@ from kinoplan.optimizer import (
     total_cost,
     trajectory_density,
 )
-from kinoplan.scenario_io import parse_scenario
+from kinoplan.planner import simulate_run
+from kinoplan.scenario_io import parse_scenario, parse_scenario_dict
+from test_homotopy import CORRIDOR_DOC
 
 LIMITS = KinodynamicLimits(0.5, 0.5)
 WEIGHTS = CostWeights(1.0, 10.0, 0.5, 5.0, 5.0)
@@ -382,14 +382,66 @@ class TestOptimizeCandidate:
 
 # ---------------------------------------------------------------------------
 # Oracle: the optimizer kernels as they were before the bounded evaluation,
-# the reused evaluation cache and the array-pass density adaptation. The
+# the reused evaluation cache, the array-pass density adaptation and the
+# fused kernels, with the helpers they called frozen alongside them. The
 # current kernels must reproduce them bit for bit.
+
+
+class RefObstacleArrays:
+    """Column layout of obstacle states for vectorized kernels."""
+
+    def __init__(self, obstacles) -> None:
+        self.count = len(obstacles)
+        if self.count:
+            self.pos = np.array([(o.position.x, o.position.y) for o in obstacles])
+            self.vel = np.array([(o.velocity.x, o.velocity.y) for o in obstacles])
+            self.acc = np.array([(o.acceleration.x, o.acceleration.y) for o in obstacles])
+            self.radius = np.array([o.safety_radius for o in obstacles])
+        else:
+            self.pos = self.vel = self.acc = np.zeros((0, 2))
+            self.radius = np.zeros(0)
+
+
+def ref_curvature_terms(p: np.ndarray):
+    """Menger curvature pieces for interior points of an (N,2) polyline."""
+    u = p[1:-1] - p[:-2]
+    v = p[2:] - p[1:-1]
+    w = p[2:] - p[:-2]
+    a = np.hypot(u[:, 0], u[:, 1])
+    b = np.hypot(v[:, 0], v[:, 1])
+    c = np.hypot(w[:, 0], w[:, 1])
+    valid = (a > 1e-9) & (b > 1e-9) & (c > 1e-9)
+    denom = np.where(valid, a * b * c, 1.0)
+    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    kappa = np.where(valid, 2.0 * cross / denom, 0.0)
+    return u, v, w, a, b, c, cross, kappa, valid
+
+
+def ref_state_curvatures(p: np.ndarray) -> np.ndarray:
+    n = len(p)
+    out = np.zeros(n)
+    if n >= 3:
+        out[1:-1] = np.abs(ref_curvature_terms(p)[7])
+    return out
+
+
+def ref_obstacle_geometry(p: np.ndarray, dts: np.ndarray, obs: RefObstacleArrays):
+    """Per-state/per-obstacle displacement planes against predicted centers."""
+    t = np.empty(len(p))
+    t[0] = 0.0
+    np.cumsum(dts, out=t[1:])
+    tc = t[:, None]
+    tc2 = 0.5 * tc * tc
+    dx = p[:, 0][:, None] - (obs.pos[None, :, 0] + obs.vel[None, :, 0] * tc + obs.acc[None, :, 0] * tc2)
+    dy = p[:, 1][:, None] - (obs.pos[None, :, 1] + obs.vel[None, :, 1] * tc + obs.acc[None, :, 1] * tc2)
+    dist = np.sqrt(dx * dx + dy * dy)
+    return t, dx, dy, dist
 
 
 def ref_cost_arrays(
     p: np.ndarray,
     dts: np.ndarray,
-    obs: _ObstacleArrays,
+    obs: RefObstacleArrays,
     weights: CostWeights,
     limits: KinodynamicLimits,
     clearance: float,
@@ -401,12 +453,12 @@ def ref_cost_arrays(
     e = np.hypot(seg[:, 0], seg[:, 1])
 
     if obs.count:
-        _, _, _, dist = _obstacle_geometry(p, dts, obs)
+        _, _, _, dist = ref_obstacle_geometry(p, dts, obs)
         h = np.maximum(obs.radius[None, :] + clearance - dist, 0.0)
         cost += weights.w_obstacle * float((h * h).sum())
 
     if n >= 3 and weights.w_smooth > 0.0:  # smoothness needs an interior point
-        _, _, _, a, b, _, _, kappa, _ = _curvature_terms(p)
+        _, _, _, a, b, _, _, kappa, _ = ref_curvature_terms(p)
         cost += weights.w_smooth * float((kappa * kappa * 0.5 * (a + b)).sum())
 
     speed = e / dts
@@ -427,7 +479,7 @@ def ref_cost_arrays(
 def ref_cost_grad_arrays(
     p: np.ndarray,
     dts: np.ndarray,
-    obs: _ObstacleArrays,
+    obs: RefObstacleArrays,
     weights: CostWeights,
     limits: KinodynamicLimits,
     clearance: float,
@@ -441,7 +493,7 @@ def ref_cost_grad_arrays(
     e = np.hypot(seg[:, 0], seg[:, 1])
 
     if obs.count:
-        t, dx, dy, dist = _obstacle_geometry(p, dts, obs)
+        t, dx, dy, dist = ref_obstacle_geometry(p, dts, obs)
         h = np.maximum(obs.radius[None, :] + clearance - dist, 0.0)
         cost += weights.w_obstacle * float((h * h).sum())
         active = (h > 0.0) & (dist > _EPS)
@@ -459,7 +511,7 @@ def ref_cost_grad_arrays(
             grad_dt += tail[1:]
 
     if n >= 3 and weights.w_smooth > 0.0:
-        u, v, w, a, b, c, cross, kappa, valid = _curvature_terms(p)
+        u, v, w, a, b, c, cross, kappa, valid = ref_curvature_terms(p)
         ell = 0.5 * (a + b)
         cost += weights.w_smooth * float((kappa * kappa * ell).sum())
         safe_abc = np.where(valid, a * b * c, 1.0)
@@ -536,7 +588,7 @@ def ref_adapt_arrays(
         changed = False
 
         # Insertion: split any segment longer than its applicable bound.
-        kappa = state_curvatures(np.array(pts))
+        kappa = ref_state_curvatures(np.array(pts))
         bend = kappa > params.kappa_thresh
         i = 0
         while i < len(durs):
@@ -560,7 +612,7 @@ def ref_adapt_arrays(
         while removed:
             removed = False
             arr = np.array(pts)
-            kappa = state_curvatures(arr)
+            kappa = ref_state_curvatures(arr)
             bend = kappa > params.kappa_thresh
             for i in range(1, len(pts) - 1):
                 la = float(np.hypot(*(pts[i] - pts[i - 1])))
@@ -585,7 +637,7 @@ def ref_adapt_arrays(
 def ref_descend(
     p: np.ndarray,
     dts: np.ndarray,
-    obs: _ObstacleArrays,
+    obs: RefObstacleArrays,
     weights: CostWeights,
     limits: KinodynamicLimits,
     clearance: float,
@@ -653,7 +705,7 @@ def ref_descend(
 
 def ref_optimize_candidate(seed, obstacles, weights, limits, density):
     p, dts = _seed_arrays(seed, density.d_max, 0.5 * limits.v_max)
-    obs = _ObstacleArrays(obstacles)
+    obs = RefObstacleArrays(obstacles)
     iterations = 0
     converged = False
     for outer in range(OUTER_ROUNDS):
@@ -704,7 +756,7 @@ def oracle_problems(seed, count):
                 for o, i in zip(obstacles, rng.integers(0, len(p), len(obstacles)))
             ]
         weights = ORACLE_WEIGHTS[k % len(ORACLE_WEIGHTS)]
-        yield p, dts, _ObstacleArrays(obstacles), weights
+        yield p, dts, obstacles, weights
 
 
 ORACLE_DENSITIES = (
@@ -741,27 +793,88 @@ def oracle_polylines(seed, params):
         yield np.column_stack([xs, 1e-4 * np.sin(7.0 * xs)])
 
 
+def degenerate_problems():
+    """Polylines and obstacles that drive every kernel onto its masked path:
+    repeated states (zero-length segments), a segment just under the
+    curvature kernel's 1e-9 length floor, a stencil that doubles back (zero
+    chord), a straight run at constant speed (zero velocity change) and
+    states exactly at a predicted obstacle center."""
+    rng = np.random.default_rng(15)
+    for k in range(50):
+        n = int(rng.integers(5, 20))
+        p = np.cumsum(rng.normal(0.0, 0.3, (n, 2)), axis=0)
+        dts = rng.uniform(0.05, 0.6, n - 1)
+        i = int(rng.integers(1, n - 2))
+        if k % 5 == 0:
+            p[i + 1] = p[i]                     # a zero-length segment
+        elif k % 5 == 1:
+            p[i + 1] = p[i] + 5e-10             # shorter than 1e-9, not zero
+        elif k % 5 == 2:
+            p[i + 1] = p[i - 1]                 # the chord at state i is zero
+        elif k % 5 == 3:
+            p[i + 1] = 2.0 * p[i] - p[i - 1]    # no velocity change at state i
+            dts[i] = dts[i - 1]
+        else:
+            p[i + 1] = p[i]
+            p[i - 1] = p[i]
+        obstacles = [
+            ObstacleState(Vec2(*p[j]), safety_radius=0.4)  # static, so the center stays on p[j]
+            for j in rng.integers(0, n, 2)
+        ]
+        obstacles.append(ObstacleState(Vec2(*p[0]), Vec2(0.1, -0.2), safety_radius=0.3,
+                                       model=MotionModel.CONST_VELOCITY))
+        yield p, dts, obstacles if k % 7 else [], ORACLE_WEIGHTS[k // 5 % len(ORACLE_WEIGHTS)]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: unlike ==, tells -0.0 from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_optimizes_like_reference(seed, obstacles, sc):
+    traj, report = optimize_candidate(seed, obstacles, sc.weights, sc.limits, sc.density)
+    want_p, want_dt, want_report = ref_optimize_candidate(
+        seed, obstacles, sc.weights, sc.limits, sc.density
+    )
+    assert same_bits(traj.positions(), want_p)
+    assert same_bits(traj.durations(), want_dt)
+    assert same_bits(report.final_cost, want_report.final_cost)
+    assert report == want_report
+
+
 class TestAgainstPreviousKernels:
     def test_evaluate_and_gradient_bitwise(self):
-        for p, dts, obs, w in oracle_problems(11, 200):
-            want = ref_cost_arrays(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
-            want_grad = ref_cost_grad_arrays(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
-            ev = _evaluate(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
+        for p, dts, obstacles, w in oracle_problems(11, 200):
+            ref_obs = RefObstacleArrays(obstacles)
+            want = ref_cost_arrays(p, dts, ref_obs, w, LIMITS, CLEARANCE_BUFFER)
+            want_grad = ref_cost_grad_arrays(p, dts, ref_obs, w, LIMITS, CLEARANCE_BUFFER)
+            ev = _evaluate(p, dts, _ObstacleArrays(obstacles), w, LIMITS, CLEARANCE_BUFFER)
             assert ev.cost == want == want_grad[0]
             grad_p, grad_dt = _gradient(ev)
             assert np.array_equal(grad_p, want_grad[1])
             assert np.array_equal(grad_dt, want_grad[2])
 
+    def test_masked_paths_bitwise(self):
+        for p, dts, obstacles, w in degenerate_problems():
+            want = ref_cost_grad_arrays(p, dts, RefObstacleArrays(obstacles), w, LIMITS, CLEARANCE_BUFFER)
+            ev = _evaluate(p, dts, _ObstacleArrays(obstacles), w, LIMITS, CLEARANCE_BUFFER)
+            assert same_bits(ev.cost, want[0])
+            grad_p, grad_dt = _gradient(ev)
+            assert same_bits(grad_p, want[1])
+            assert same_bits(grad_dt, want[2])
+
     def test_bounded_evaluation_rejects_exactly(self):
-        for p, dts, obs, w in oracle_problems(12, 200):
-            full = ref_cost_arrays(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER)
+        for p, dts, obstacles, w in oracle_problems(12, 200):
+            obs, ref_obs = _ObstacleArrays(obstacles), RefObstacleArrays(obstacles)
+            full = ref_cost_arrays(p, dts, ref_obs, w, LIMITS, CLEARANCE_BUFFER)
             bounds = [full, np.nextafter(full, math.inf), np.nextafter(full, -math.inf)]
             # every ordered sub-sum of the five terms, by zeroing the others
             terms = (w.w_time, w.w_obstacle, w.w_smooth, w.w_vel, w.w_acc)
             for keep in itertools.product((0.0, 1.0), repeat=5):
                 kept = [x * k for x, k in zip(terms, keep)]
                 if any(kept):
-                    part = ref_cost_arrays(p, dts, obs, CostWeights(*kept), LIMITS, CLEARANCE_BUFFER)
+                    part = ref_cost_arrays(p, dts, ref_obs, CostWeights(*kept), LIMITS, CLEARANCE_BUFFER)
                     bounds += [part, np.nextafter(part, math.inf)]
             for bound in bounds:
                 ev = _evaluate(p, dts, obs, w, LIMITS, CLEARANCE_BUFFER, bound=float(bound))
@@ -799,3 +912,30 @@ class TestAgainstPreviousKernels:
             assert np.array_equal(traj.positions(), want_p)
             assert np.array_equal(traj.durations(), want_dt)
             assert report == want_report
+
+    def test_optimize_candidate_bitwise_on_closed_loop_replans(self, scenario_paths):
+        """Tracked constant-acceleration obstacles and starts away from the
+        scenario start: the inputs of the first replans of a closed-loop run,
+        rebuilt from its tick log."""
+        sc = parse_scenario(str(scenario_paths["scenario3"]))
+        ticks = simulate_run(sc, seed=0).ticks[:15]
+        assert len(ticks) == 15
+        for tick in ticks:
+            obstacles = tuple(o for o in tick.obstacles_est if o is not None)
+            seeds = enumerate_seed_paths(
+                tick.vehicle, sc.goal, obstacles, sc.max_classes, sc.margin,
+                conflict_speed=sc.limits.v_max,
+            )
+            for seed in seeds:
+                assert_optimizes_like_reference(seed, obstacles, sc)
+        assert any(o.model is MotionModel.CONST_ACCELERATION for o in obstacles)
+
+    def test_optimize_candidate_bitwise_on_six_obstacle_corridor(self):
+        sc = parse_scenario_dict(CORRIDOR_DOC)
+        seeds = enumerate_seed_paths(
+            sc.start, sc.goal, sc.obstacles, sc.max_classes, sc.margin,
+            conflict_speed=sc.limits.v_max,
+        )
+        assert seeds
+        for seed in seeds:
+            assert_optimizes_like_reference(seed, sc.obstacles, sc)

@@ -116,13 +116,6 @@ class TestPlanOnce:
             plan_once(scenario, scenario.obstacles)
         assert exc.value.reason == "no_path"
 
-    def test_threads_match_single_thread_result(self):
-        seq = plan_once(TABLE1, TABLE1.obstacles, threads=1)
-        par = plan_once(TABLE1, TABLE1.obstacles, threads=4)
-        assert [c.final_cost for c in seq.candidates] == [c.final_cost for c in par.candidates]
-        assert seq.chosen_index == par.chosen_index
-        assert seq.chosen == par.chosen
-
     def test_plan_time_recorded(self):
         result = plan_once(TABLE1, TABLE1.obstacles)
         assert result.plan_time_ms > 0.0
