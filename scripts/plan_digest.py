@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print one sha256 per planning input, to check that a change keeps plans exact.
+
+Inputs, one output line each (``<label> <sha256>``):
+
+- ``plan_result_to_dict`` of ``plan_once`` on each bundled scenario;
+- ``simulate_run`` on each bundled scenario at seeds 0, 3 and 35, as
+  ``trace_to_lines`` records with the timing fields dropped;
+- ``plan_once`` on the 64 corridor scenes of perfbench seeds 1 and 2: the
+  plan document, or the ``PlanFailure`` reason.
+
+Floats enter the digests through ``json.dumps``, whose ``repr`` round-trips,
+so equal digests mean bit-identical plans. Run it on two checkouts and diff:
+
+    python3 scripts/plan_digest.py > new.txt
+    diff old.txt new.txt
+"""
+import hashlib
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import scenes  # noqa: E402
+from kinoplan.planner import PlanFailure, plan_once, simulate_run  # noqa: E402
+from kinoplan.scenario_io import (  # noqa: E402
+    parse_scenario,
+    parse_scenario_dict,
+    plan_result_to_dict,
+    trace_to_lines,
+)
+
+BUNDLED = ("scenario1", "scenario2", "scenario3")
+SIM_SEEDS = (0, 3, 35)
+CORRIDOR_SEEDS = (1, 2)
+CORRIDOR_SCENES = 64
+TIMING_FIELDS = ("replan_ms", "plan_time_mean_ms", "plan_time_p95_ms")
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def plan_doc(scenario) -> dict:
+    try:
+        result = plan_once(scenario, scenario.obstacles)
+    except PlanFailure as exc:
+        return {"failure": exc.reason}
+    return plan_result_to_dict(result, scenario, scenario.obstacles)
+
+
+def trace_doc(scenario, seed: int) -> list:
+    records = [json.loads(line) for line in trace_to_lines(simulate_run(scenario, seed=seed))]
+    for rec in records:
+        for name in TIMING_FIELDS:
+            rec.pop(name, None)
+    return records
+
+
+def main() -> int:
+    bundled = {name: parse_scenario(str(ROOT / "scenarios" / f"{name}.json")) for name in BUNDLED}
+    for name, scenario in bundled.items():
+        print(f"plan {name} {digest(plan_doc(scenario))}")
+    for name, scenario in bundled.items():
+        for seed in SIM_SEEDS:
+            print(f"simulate {name} seed={seed} {digest(trace_doc(scenario, seed))}")
+    for seed in CORRIDOR_SEEDS:
+        for k, doc in enumerate(scenes.corridor_scenes(seed, CORRIDOR_SCENES)):
+            print(f"corridor seed={seed} scene={k} {digest(plan_doc(parse_scenario_dict(doc)))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

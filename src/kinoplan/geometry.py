@@ -14,10 +14,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Two of the three curvature points closer than this are treated as
-# coincident and yield zero curvature instead of a division blow-up.
-DEGENERATE_EPS = 1e-9
-
 
 def normalize_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
@@ -187,29 +183,3 @@ def arc_length(traj: Trajectory) -> float:
     pts = traj.positions()
     seg = np.diff(pts, axis=0)
     return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
-
-
-def curvature_at(traj: Trajectory, i: int) -> float:
-    """Signed discrete (Menger) curvature at interior state ``i``.
-
-    Positive for a left turn, negative for a right turn. Returns 0 when any
-    two of the three involved points nearly coincide.
-    """
-    n = len(traj.states)
-    if not 1 <= i <= n - 2:
-        raise IndexError(f"curvature index must be interior (1..{n - 2}), got {i}")
-    p0 = traj.states[i - 1].position
-    p1 = traj.states[i].position
-    p2 = traj.states[i + 1].position
-    return menger_curvature(p0, p1, p2)
-
-
-def menger_curvature(p0: Vec2, p1: Vec2, p2: Vec2) -> float:
-    """Signed inverse circumradius of three points (zero if degenerate)."""
-    a = p1.distance_to(p0)
-    b = p2.distance_to(p1)
-    c = p2.distance_to(p0)
-    if a < DEGENERATE_EPS or b < DEGENERATE_EPS or c < DEGENERATE_EPS:
-        return 0.0
-    cross = (p1 - p0).cross(p2 - p1)
-    return 2.0 * cross / (a * b * c)

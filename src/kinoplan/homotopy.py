@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costmap import sweep_samples
+from .collision import _ObstacleArrays, segments_clear
 from .geometry import ObstacleState, Vec2
 from .tracking import predict_position
 
@@ -135,42 +135,10 @@ def _conflict_anchor(
     return best
 
 
-def _segments_clear(
-    ax: np.ndarray,
-    ay: np.ndarray,
-    bx: np.ndarray,
-    by: np.ndarray,
-    lengths: np.ndarray,
-    t_a: np.ndarray,
-    t_b: np.ndarray,
-    obstacles: Sequence[ObstacleState],
-    margin: float,
-) -> np.ndarray:
-    """Per-segment ``costmap.segment_is_free`` in one pass over all segments.
-
-    Each timed straight segment gets exactly the samples ``segment_is_free``
-    would take, and the clearance test runs on all obstacles at once.
-    """
-    if not obstacles:
-        return np.ones(len(ax), dtype=bool)
-    px, py, times, starts = sweep_samples(ax, ay, bx - ax, by - ay, lengths, t_a, t_b - t_a)
-    t2 = times * times
-    # One row per obstacle: position, velocity, half acceleration, clearance.
-    o = np.array([
-        (ob.position.x, ob.position.y, ob.velocity.x, ob.velocity.y,
-         0.5 * ob.acceleration.x, 0.5 * ob.acceleration.y, ob.safety_radius + margin)
-        for ob in obstacles
-    ])[:, :, None]
-    cx = o[:, 0] + o[:, 2] * times + o[:, 4] * t2
-    cy = o[:, 1] + o[:, 3] * times + o[:, 5] * t2
-    ok = (np.hypot(px - cx, py - cy) > o[:, 6]).all(axis=0)
-    return np.logical_and.reduceat(ok, starts)
-
-
 def _free_matrix(
     nodes: Sequence[Vec2],
     lengths: Sequence[Sequence[float]],
-    obstacles: Sequence[ObstacleState],
+    obstacles: _ObstacleArrays,
     margin: float,
 ) -> np.ndarray:
     """Symmetric mask of roadmap edges that clear every obstacle at time 0."""
@@ -179,8 +147,9 @@ def _free_matrix(
     xs = np.array([p.x for p in nodes])
     ys = np.array([p.y for p in nodes])
     zero = np.zeros(len(iu))
-    pair_free = _segments_clear(
-        xs[iu], ys[iu], xs[ju], ys[ju], np.array(lengths)[iu, ju], zero, zero, obstacles, margin
+    pair_free = segments_clear(
+        xs[iu], ys[iu], xs[ju] - xs[iu], ys[ju] - ys[iu], np.array(lengths)[iu, ju],
+        zero, zero, obstacles, margin,
     )
     free = np.zeros((n, n), dtype=bool)
     free[iu, ju] = pair_free
@@ -190,7 +159,7 @@ def _free_matrix(
 
 def _seed_time_clear(
     waypoints: Sequence[Vec2],
-    obstacles: Sequence[ObstacleState],
+    obstacles: _ObstacleArrays,
     margin: float,
     speed: float,
 ) -> bool:
@@ -199,8 +168,9 @@ def _seed_time_clear(
     ys = np.array([w.y for w in waypoints])
     lengths = np.array([a.distance_to(b) for a, b in zip(waypoints[:-1], waypoints[1:])])
     times = np.concatenate(([0.0], np.cumsum(lengths / speed)))
-    clear = _segments_clear(
-        xs[:-1], ys[:-1], xs[1:], ys[1:], lengths, times[:-1], times[1:], obstacles, margin
+    clear = segments_clear(
+        xs[:-1], ys[:-1], np.diff(xs), np.diff(ys), lengths, times[:-1], np.diff(times),
+        obstacles, margin,
     )
     return bool(clear.all())
 
@@ -242,7 +212,8 @@ def enumerate_seed_paths(
     )
     coords = [p.as_tuple() for p in nodes]
     lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
-    free = _free_matrix(nodes, lengths, obstacles, margin)
+    arrays = _ObstacleArrays(obstacles)
+    free = _free_matrix(nodes, lengths, arrays, margin)
     neighbors = [np.flatnonzero(row).tolist() for row in free]
     to_goal = [row[1] for row in lengths]  # admissible: edges are straight
 
@@ -286,14 +257,14 @@ def enumerate_seed_paths(
                     kept.append(SeedPath(waypoints, sig, length))
                     clear_flags.append(
                         conflict_speed is None
-                        or _seed_time_clear(waypoints, obstacles, margin, conflict_speed)
+                        or _seed_time_clear(waypoints, arrays, margin, conflict_speed)
                     )
                     if len(kept) == 1:
                         cutoff = length * LENGTH_CUTOFF_FACTOR
             elif conflict_speed is not None and not clear_flags[match]:
                 # Same class, longer path: upgrade only if it clears the
                 # predicted motion that the current representative hits.
-                if _seed_time_clear(waypoints, obstacles, margin, conflict_speed):
+                if _seed_time_clear(waypoints, arrays, margin, conflict_speed):
                     kept[match] = SeedPath(waypoints, sig, length)
                     clear_flags[match] = True
             continue

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .collision import _ObstacleArrays
 from .geometry import KinodynamicLimits, ObstacleState, Trajectory, Vec2
 from .homotopy import SeedPath, signatures_equivalent, winding_signature
 
@@ -93,25 +94,6 @@ WEIGHT_CAP_FACTOR = 16.0
 OUTER_ROUNDS = 5
 MAX_INNER_ITERS = 100
 REL_TOL = 1e-4
-
-
-class _ObstacleArrays:
-    """Obstacle states as (2, 1, M) x/y planes: one broadcast against the
-    (N, 1) column of state times gives both coordinates of every predicted
-    center at once."""
-
-    __slots__ = ("pos", "vel", "acc", "radius", "count")
-
-    def __init__(self, obstacles: Sequence[ObstacleState]) -> None:
-        self.count = len(obstacles)
-
-        def planes(vecs: list[Vec2]) -> np.ndarray:
-            return np.array([[v.x for v in vecs], [v.y for v in vecs]]).reshape(2, 1, self.count)
-
-        self.pos = planes([o.position for o in obstacles])
-        self.vel = planes([o.velocity for o in obstacles])
-        self.acc = planes([o.acceleration for o in obstacles])
-        self.radius = np.array([o.safety_radius for o in obstacles], dtype=float)
 
 
 def _curvature(p: np.ndarray, seg: np.ndarray, e: np.ndarray):
@@ -239,7 +221,7 @@ def _evaluate(
         _cumsum(dts, out=t[1:])
         tc = t[:, None]
         # x and y planes of the state-minus-predicted-center displacements
-        d = p.T[:, :, None] - (obs.pos + obs.vel * tc + obs.acc * (0.5 * tc * tc))
+        d = p.T[:, :, None] - obs.centers(tc)
         sq = d * d
         dist = np.sqrt(sq[0] + sq[1])
         h = np.maximum(obs.radius + clearance - dist, 0.0)

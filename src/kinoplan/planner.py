@@ -19,7 +19,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-from .costmap import sweep_samples
+from .collision import _ObstacleArrays, segments_clear
 from .geometry import KinodynamicLimits, MotionModel, ObstacleState, Trajectory, Vec2
 from .homotopy import SeedPath, enumerate_seed_paths
 from .optimizer import (
@@ -135,32 +135,18 @@ class SimTrace:
 def trajectory_is_free(
     traj: Trajectory, obstacles: Sequence[ObstacleState], margin: float
 ) -> bool:
-    """Time-indexed sweep of every trajectory segment against predicted obstacles.
-
-    Equivalent to running ``segment_is_free`` per segment (same sampling
-    density), batched into one vectorized pass over all samples and obstacles.
-    """
-    if not obstacles:
-        return True
+    """Time-indexed sweep of every trajectory segment against predicted
+    obstacles: ``collision.segments_clear`` over the whole polyline."""
     pts = traj.positions()
     dts = traj.durations()
     times = np.concatenate(([0.0], np.cumsum(dts)))
     seg = np.diff(pts, axis=0)
     lengths = np.hypot(seg[:, 0], seg[:, 1])
-    px, py, pt, _ = sweep_samples(
-        pts[:-1, 0], pts[:-1, 1], seg[:, 0], seg[:, 1], lengths, times[:-1], dts
+    clear = segments_clear(
+        pts[:-1, 0], pts[:-1, 1], seg[:, 0], seg[:, 1], lengths, times[:-1], dts,
+        _ObstacleArrays(obstacles), margin,
     )
-    pt2 = 0.5 * pt * pt
-    # One row per obstacle: position, velocity, acceleration, clearance.
-    o = np.array([
-        (ob.position.x, ob.position.y, ob.velocity.x, ob.velocity.y,
-         ob.acceleration.x, ob.acceleration.y, ob.safety_radius + margin)
-        for ob in obstacles
-    ])[:, :, None]
-    cx = o[:, 0] + o[:, 2] * pt + o[:, 4] * pt2
-    cy = o[:, 1] + o[:, 3] * pt + o[:, 5] * pt2
-    d2 = (px - cx) ** 2 + (py - cy) ** 2
-    return bool(np.all(d2 > o[:, 6] * o[:, 6]))
+    return bool(clear.all())
 
 
 def _point_clear(p: Vec2, obstacles: Sequence[ObstacleState], margin: float) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from .geometry import KinodynamicLimits, MotionModel, ObstacleState, Trajectory, Vec2
 from .optimizer import CostWeights, DensityParams
@@ -181,21 +181,23 @@ def parse_scenario(path: str) -> Scenario:
     return parse_scenario_dict(doc)
 
 
+def _obstacle_dict(o: ObstacleState) -> dict[str, Any]:
+    """The one JSON view of an obstacle, in scenario files, plans and traces."""
+    return {
+        "position": [o.position.x, o.position.y],
+        "velocity": [o.velocity.x, o.velocity.y],
+        "acceleration": [o.acceleration.x, o.acceleration.y],
+        "safety_radius": o.safety_radius,
+        "model": o.model.value,
+    }
+
+
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     """Inverse of ``parse_scenario_dict`` (round-trips exactly)."""
     return {
         "start": [s.start.x, s.start.y],
         "goal": [s.goal.x, s.goal.y],
-        "obstacles": [
-            {
-                "position": [o.position.x, o.position.y],
-                "velocity": [o.velocity.x, o.velocity.y],
-                "acceleration": [o.acceleration.x, o.acceleration.y],
-                "safety_radius": o.safety_radius,
-                "model": o.model.value,
-            }
-            for o in s.obstacles
-        ],
+        "obstacles": [_obstacle_dict(o) for o in s.obstacles],
         "limits": {"v_max": s.limits.v_max, "a_max": s.limits.a_max},
         "weights": {
             "w_time": s.weights.w_time,
@@ -238,16 +240,7 @@ def plan_result_to_dict(
     return {
         "start": [scenario.start.x, scenario.start.y],
         "goal": [scenario.goal.x, scenario.goal.y],
-        "obstacles": [
-            {
-                "position": [o.position.x, o.position.y],
-                "velocity": [o.velocity.x, o.velocity.y],
-                "acceleration": [o.acceleration.x, o.acceleration.y],
-                "safety_radius": o.safety_radius,
-                "model": o.model.value,
-            }
-            for o in obstacles
-        ],
+        "obstacles": [_obstacle_dict(o) for o in obstacles],
         "eta": result.eta,
         "state_count": result.state_count,
         "chosen_index": result.chosen_index,
@@ -265,18 +258,6 @@ def plan_result_to_dict(
     }
 
 
-def _obstacle_view(obs: Optional[ObstacleState]) -> Optional[dict[str, Any]]:
-    if obs is None:
-        return None
-    return {
-        "position": [obs.position.x, obs.position.y],
-        "velocity": [obs.velocity.x, obs.velocity.y],
-        "acceleration": [obs.acceleration.x, obs.acceleration.y],
-        "safety_radius": obs.safety_radius,
-        "model": obs.model.value,
-    }
-
-
 def trace_to_lines(trace: SimTrace) -> list[str]:
     """Newline-delimited JSON records: one per tick, then the summary."""
     lines = []
@@ -291,8 +272,8 @@ def trace_to_lines(trace: SimTrace) -> list[str]:
             "obstacles": [
                 {
                     "id": i,
-                    "true": _obstacle_view(true),
-                    "estimated": _obstacle_view(est),
+                    "true": _obstacle_dict(true),
+                    "estimated": None if est is None else _obstacle_dict(est),
                 }
                 for i, (true, est) in enumerate(zip(tick.obstacles_true, tick.obstacles_est))
             ],

@@ -1,0 +1,156 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kinoplan.collision import (
+    CHECK_STEP_M,
+    CHECK_STEP_S,
+    _ObstacleArrays,
+    segments_clear,
+    sweep_samples,
+)
+from kinoplan.geometry import MotionModel, ObstacleState, Vec2
+from kinoplan.homotopy import _free_matrix
+from kinoplan.scenario_io import parse_scenario
+
+coord = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
+
+
+def ref_segment_is_free(obstacles, a, b, t_a, t_b, margin):
+    """Frozen copy of the per-segment check that ``segments_clear`` replaced.
+
+    It samples like ``segments_clear`` but rounds the predicted center as
+    ``0.5 * acc * t²`` and tests ``hypot > r + margin``, so the two may only
+    disagree where a sample lies within rounding of the circle.
+    """
+    if t_b < t_a:
+        raise ValueError("t_b must be >= t_a")
+    if not obstacles:
+        return True
+    length = a.distance_to(b)
+    steps = max(
+        int(math.ceil(length / CHECK_STEP_M)),
+        int(math.ceil((t_b - t_a) / CHECK_STEP_S)),
+        1,
+    )
+    s = np.linspace(0.0, 1.0, steps + 1)
+    px = a.x + (b.x - a.x) * s
+    py = a.y + (b.y - a.y) * s
+    times = t_a + (t_b - t_a) * s
+    for obs in obstacles:
+        t2 = times * times
+        cx = obs.position.x + obs.velocity.x * times + 0.5 * obs.acceleration.x * t2
+        cy = obs.position.y + obs.velocity.y * times + 0.5 * obs.acceleration.y * t2
+        d = np.hypot(px - cx, py - cy)
+        if not np.all(d > obs.safety_radius + margin):
+            return False
+    return True
+
+
+def dense_time_oracle(obstacles, a, b, t_a, t_b, margin, step=0.001):
+    """Brute-force sweep at 1 ms resolution, independent of the library sampling."""
+    duration = max(t_b - t_a, a.distance_to(b))  # parameter span proxy
+    n = max(int(math.ceil(duration / step)), 1)
+    for k in range(n + 1):
+        f = k / n
+        px = a.x + (b.x - a.x) * f
+        py = a.y + (b.y - a.y) * f
+        t = t_a + (t_b - t_a) * f
+        for obs in obstacles:
+            cx = obs.position.x + obs.velocity.x * t + 0.5 * obs.acceleration.x * t * t
+            cy = obs.position.y + obs.velocity.y * t + 0.5 * obs.acceleration.y * t * t
+            if math.hypot(px - cx, py - cy) <= obs.safety_radius + margin:
+                return False
+    return True
+
+
+def segment_clear(obstacles, a, b, t_a, t_b, margin):
+    """``segments_clear`` on the single segment from ``a`` at ``t_a`` to ``b`` at ``t_b``."""
+    ax, ay, dx, dy, length, t0, dt = (
+        np.array([v], dtype=float)
+        for v in (a.x, a.y, b.x - a.x, b.y - a.y, a.distance_to(b), t_a, t_b - t_a)
+    )
+    clear = segments_clear(ax, ay, dx, dy, length, t0, dt, _ObstacleArrays(obstacles), margin)
+    return bool(clear[0])
+
+
+class TestSegmentsClear:
+    def test_through_center_blocked(self):
+        obs = [ObstacleState(Vec2(0, 0))]
+        assert not segment_clear(obs, Vec2(-1, 0), Vec2(1, 0), 0.0, 1.0, 0.0)
+
+    def test_far_segment_free(self):
+        obs = [ObstacleState(Vec2(0, 5))]
+        assert segment_clear(obs, Vec2(-1, 0), Vec2(1, 0), 0.0, 1.0, 0.0)
+
+    def test_moving_obstacle_intercepts_midway(self):
+        # clear at both endpoint times, but the obstacle crosses mid-traversal
+        obs = [
+            ObstacleState(Vec2(0, 5), Vec2(0, -1), model=MotionModel.CONST_VELOCITY)
+        ]
+        a, b = Vec2(-1, 0), Vec2(1, 0)
+        assert not segment_clear(obs, a, b, 0.0, 10.0, 0.0)
+        assert dense_time_oracle(obs, a, b, 0.0, 10.0, 0.0) is False
+        # same geometry traversed fast enough is fine
+        assert segment_clear(obs, a, b, 0.0, 1.0, 0.0)
+        assert dense_time_oracle(obs, a, b, 0.0, 1.0, 0.0) is True
+
+    def test_rejects_reversed_times(self):
+        with pytest.raises(ValueError):
+            segment_clear([], Vec2(0, 0), Vec2(1, 0), 1.0, 0.0, 0.0)
+
+    @given(
+        ax=coord, ay=coord, bx=coord, by=coord,
+        ox=coord, oy=coord,
+        margin=st.floats(min_value=0, max_value=0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_static_symmetry(self, ax, ay, bx, by, ox, oy, margin):
+        obs = [ObstacleState(Vec2(ox, oy), safety_radius=0.4)]
+        a, b = Vec2(ax, ay), Vec2(bx, by)
+        assert segment_clear(obs, a, b, 0.0, 0.0, margin) == segment_clear(
+            obs, b, a, 0.0, 0.0, margin
+        )
+
+    @given(
+        ax=coord, ay=coord, bx=coord, by=coord,
+        ox=coord, oy=coord,
+        m1=st.floats(min_value=0, max_value=0.4),
+        m2=st.floats(min_value=0, max_value=0.4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_margin_monotonicity(self, ax, ay, bx, by, ox, oy, m1, m2):
+        lo, hi = sorted((m1, m2))
+        obs = [ObstacleState(Vec2(ox, oy), safety_radius=0.3)]
+        a, b = Vec2(ax, ay), Vec2(bx, by)
+        if not segment_clear(obs, a, b, 0.0, 0.0, lo):
+            assert not segment_clear(obs, a, b, 0.0, 0.0, hi)
+
+
+class TestExactTouch:
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_bundled_start_goal_edge_blocked(self, scenario_paths, name):
+        # The straight start-goal edge takes a sample at (-2.5, 0), exactly
+        # r = 0.5 from the obstacle at (-2, 0) at t = 0: a touch, not a pass.
+        sc = parse_scenario(str(scenario_paths[name]))
+        assert (sc.start, sc.goal) == (Vec2(-4, 0), Vec2(4, 0))
+        first = sc.obstacles[0]
+        assert (first.position, first.safety_radius, sc.margin) == (Vec2(-2, 0), 0.5, 0.0)
+        zero = np.zeros(1)
+        px, py, _, _ = sweep_samples(
+            np.array([-4.0]), zero, np.array([8.0]), zero, np.array([8.0]), zero, zero
+        )
+        assert np.any((px == -2.5) & (py == 0.0))
+        free = _free_matrix([sc.start, sc.goal], [[0.0, 8.0], [8.0, 0.0]],
+                            _ObstacleArrays(sc.obstacles), sc.margin)
+        assert not free[0, 1]
+        assert not ref_segment_is_free(sc.obstacles, sc.start, sc.goal, 0.0, 0.0, sc.margin)
+        # Up to that sample the edge only touches the first obstacle's circle,
+        # and the strict test still calls it blocked.
+        touch = Vec2(-2.5, 0)
+        assert not segment_clear([first], sc.start, touch, 0.0, 0.0, 0.0)
+        assert not ref_segment_is_free([first], sc.start, touch, 0.0, 0.0, 0.0)
+        assert segment_clear([first], sc.start, Vec2(-2.5 - 1e-9, 0), 0.0, 0.0, 0.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,8 @@ from kinoplan.geometry import (
     Trajectory,
     Vec2,
     arc_length,
-    curvature_at,
-    menger_curvature,
 )
+from kinoplan.optimizer import _curvature, state_curvatures
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -135,34 +135,41 @@ def _circumradius(p0, p1, p2):
     return a * b * c / (4.0 * area)
 
 
+def signed_curvature(points):
+    """``optimizer._curvature``'s signed kappa, one per interior state."""
+    p = np.array(points, dtype=float)
+    seg = p[1:] - p[:-1]
+    return _curvature(p, seg, np.hypot(seg[:, 0], seg[:, 1]))[3]
+
+
 class TestCurvature:
     def test_collinear_is_zero(self):
-        traj = straight([(0, 0), (1, 0), (2, 0)])
-        assert curvature_at(traj, 1) == 0.0
+        assert signed_curvature([(0, 0), (1, 0), (2, 0)])[0] == 0.0
 
     def test_unit_circle_magnitude(self):
         pts = [(math.cos(t), math.sin(t)) for t in (0.0, 0.05, 0.1)]
-        traj = straight(pts)
-        kappa = curvature_at(traj, 1)
+        kappa = signed_curvature(pts)[0]
         assert abs(abs(kappa) - 1.0) < 1e-3
         assert abs(kappa) == pytest.approx(1.0 / _circumradius(*pts), abs=1e-12)
 
     def test_mirror_flips_sign(self):
-        up = straight([(0, 0), (1, 0.3), (2, 0)])
-        down = straight([(0, 0), (1, -0.3), (2, 0)])
-        assert curvature_at(up, 1) == pytest.approx(-curvature_at(down, 1))
-        assert curvature_at(up, 1) != 0.0
+        up = signed_curvature([(0, 0), (1, 0.3), (2, 0)])[0]
+        down = signed_curvature([(0, 0), (1, -0.3), (2, 0)])[0]
+        assert up == pytest.approx(-down)
+        assert up != 0.0
 
     def test_degenerate_points_return_zero(self):
-        assert menger_curvature(Vec2(0, 0), Vec2(0, 0), Vec2(1, 0)) == 0.0
-        assert menger_curvature(Vec2(0, 0), Vec2(1e-12, 0), Vec2(1, 0)) == 0.0
+        assert signed_curvature([(0, 0), (0, 0), (1, 0)])[0] == 0.0
+        assert signed_curvature([(0, 0), (1e-12, 0), (1, 0)])[0] == 0.0
 
     def test_interior_index_required(self):
-        traj = straight([(0, 0), (1, 0), (2, 0)])
-        with pytest.raises(IndexError):
-            curvature_at(traj, 0)
-        with pytest.raises(IndexError):
-            curvature_at(traj, 2)
+        # one kappa per interior state 1..N-2; the endpoints get none
+        for n in (3, 4, 6):
+            pts = [(float(k), 0.5 * k * k) for k in range(n)]
+            assert len(signed_curvature(pts)) == n - 2
+        kappa = state_curvatures(np.array([(0, 0), (1, 0.3), (2, 0)], dtype=float))
+        assert kappa[0] == kappa[-1] == 0.0
+        assert kappa[1] != 0.0
 
     @given(
         pts=st.tuples(
@@ -178,9 +185,9 @@ class TestCurvature:
         # keep clear of the coincident-point cutoff, where rounding under
         # rotation can flip the degeneracy decision
         assume(min(math.dist(a, b) for a, b in zip(pts, pts[1:] + pts[:1])) > 1e-3)
-        k0 = menger_curvature(*(Vec2(*p) for p in pts))
+        k0 = signed_curvature(pts)[0]
         c, s = math.cos(angle), math.sin(angle)
-        moved = [Vec2(c * x - s * y + shift[0], s * x + c * y + shift[1]) for x, y in pts]
-        assert menger_curvature(*moved) == pytest.approx(k0, rel=1e-6, abs=1e-9)
-        reflected = [Vec2(x, -y) for x, y in pts]
-        assert menger_curvature(*reflected) == pytest.approx(-k0, rel=1e-6, abs=1e-9)
+        moved = [(c * x - s * y + shift[0], s * x + c * y + shift[1]) for x, y in pts]
+        assert signed_curvature(moved)[0] == pytest.approx(k0, rel=1e-6, abs=1e-9)
+        reflected = [(x, -y) for x, y in pts]
+        assert signed_curvature(reflected)[0] == pytest.approx(-k0, rel=1e-6, abs=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kinoplan.costmap import segment_is_free
+from kinoplan.collision import _ObstacleArrays, segments_clear
 from kinoplan.geometry import MotionModel, ObstacleState, Vec2
 from kinoplan.homotopy import (
     DETOUR_FACTOR,
@@ -16,13 +16,13 @@ from kinoplan.homotopy import (
     SeedPath,
     _detour_nodes,
     _free_matrix,
-    _segments_clear,
     enumerate_seed_paths,
     signatures_equivalent,
     winding_signature,
 )
 from kinoplan.planner import PlanFailure, plan_once
 from kinoplan.scenario_io import parse_scenario_dict
+from test_collision import ref_segment_is_free
 
 TABLE1_OBSTACLES = (
     ObstacleState(Vec2(-2, 0)),
@@ -159,7 +159,7 @@ class TestEnumerateSeedPaths:
         seeds = enumerate_seed_paths(START, GOAL, TABLE1_OBSTACLES, 5, margin)
         for seed in seeds:
             for a, b in zip(seed.waypoints[:-1], seed.waypoints[1:]):
-                assert segment_is_free(TABLE1_OBSTACLES, a, b, 0.0, 0.0, margin)
+                assert ref_segment_is_free(TABLE1_OBSTACLES, a, b, 0.0, 0.0, margin)
 
     def test_blocked_start_returns_empty(self):
         obs = [ObstacleState(Vec2(-4, 0), safety_radius=0.5)]
@@ -252,7 +252,7 @@ def _oracle_time_clear(waypoints, obstacles, margin, speed):
     t = 0.0
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         dt = a.distance_to(b) / speed
-        if not segment_is_free(obstacles, a, b, t, t + dt, margin):
+        if not ref_segment_is_free(obstacles, a, b, t, t + dt, margin):
             return False
         t += dt
     return True
@@ -269,7 +269,7 @@ def _oracle_enumerate(start, goal, obstacles, max_classes, margin, conflict_spee
     lengths = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            ok = segment_is_free(obstacles, nodes[i], nodes[j], 0.0, 0.0, margin)
+            ok = ref_segment_is_free(obstacles, nodes[i], nodes[j], 0.0, 0.0, margin)
             free[i][j] = free[j][i] = ok
             lengths[i][j] = lengths[j][i] = nodes[i].distance_to(nodes[j])
     kept, clear_flags = [], []
@@ -367,10 +367,10 @@ class TestAgainstLengthOrderedOracle:
             START, GOAL, obstacles, DETOUR_FACTOR, conflict_speed
         )
         lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
-        free = _free_matrix(nodes, lengths, obstacles, margin)
+        free = _free_matrix(nodes, lengths, _ObstacleArrays(obstacles), margin)
         n = len(nodes)
         expected = np.array([
-            [i != j and segment_is_free(obstacles, nodes[i], nodes[j], 0.0, 0.0, margin)
+            [i != j and ref_segment_is_free(obstacles, nodes[i], nodes[j], 0.0, 0.0, margin)
              for j in range(n)]
             for i in range(n)
         ])
@@ -390,12 +390,13 @@ class TestAgainstLengthOrderedOracle:
         t_b = [t + d / speed for t, d in zip(t_a, lengths)]
         xs = np.array([p.x for p in pts])
         ys = np.array([p.y for p in pts])
-        got = _segments_clear(
-            xs[:-1], ys[:-1], xs[1:], ys[1:], np.array(lengths),
-            np.array(t_a), np.array(t_b), obstacles, 0.0,
+        t_a, t_b = np.array(t_a), np.array(t_b)
+        got = segments_clear(
+            xs[:-1], ys[:-1], xs[1:] - xs[:-1], ys[1:] - ys[:-1], np.array(lengths),
+            t_a, t_b - t_a, _ObstacleArrays(obstacles), 0.0,
         )
         expected = [
-            segment_is_free(obstacles, a, b, ta, tb, 0.0)
+            ref_segment_is_free(obstacles, a, b, ta, tb, 0.0)
             for a, b, ta, tb in zip(pts[:-1], pts[1:], t_a, t_b)
         ]
         assert got.tolist() == expected

@@ -5,6 +5,7 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
+from kinoplan.collision import _ObstacleArrays
 from kinoplan.geometry import (
     KinodynamicLimits,
     MotionModel,
@@ -33,7 +34,6 @@ from kinoplan.optimizer import (
     _adapt_arrays,
     _evaluate,
     _gradient,
-    _ObstacleArrays,
     _seed_arrays,
     _EPS,
     adapt_density,

@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from kinoplan.geometry import MotionModel, Vec2
-from kinoplan.planner import Scenario
+from kinoplan.geometry import MotionModel, ObstacleState, Trajectory, Vec2
+from kinoplan.planner import PlanResult, Scenario, SimTrace, TickRecord
 from kinoplan.scenario_io import (
     ScenarioError,
     parse_scenario,
     parse_scenario_dict,
+    plan_result_to_dict,
     scenario_to_dict,
+    trace_to_lines,
     write_scenario,
 )
 
@@ -143,3 +145,23 @@ class TestRoundTrip:
         s = parse_scenario(str(scenario_paths["scenario3"]))
         text = json.dumps(scenario_to_dict(s))
         assert parse_scenario_dict(json.loads(text)) == s
+
+
+class TestObstacleViews:
+    def test_scenario_plan_and_trace_views_agree(self):
+        obs = ObstacleState(
+            Vec2(0.1, -0.2), Vec2(0.05, 0.0), Vec2(-0.001, 0.002), 0.35,
+            MotionModel.CONST_ACCELERATION,
+        )
+        s = Scenario(start=Vec2(-1, 0), goal=Vec2(1, 0), obstacles=(obs,))
+        chosen = Trajectory.from_waypoints([s.start, s.goal], [4.0])
+        plan = PlanResult(chosen, 0, (), 0.0, 4.0, 2)
+        tick = TickRecord(0.0, s.start, (obs, obs), (obs, None), 0, 0.0, 1.0)
+        trace = SimTrace(status="reached", ticks=[tick])
+        in_scenario = scenario_to_dict(s)["obstacles"][0]
+        in_plan = plan_result_to_dict(plan, s, s.obstacles)["obstacles"][0]
+        in_trace, untracked = json.loads(trace_to_lines(trace)[0])["obstacles"]
+        assert in_scenario == in_plan == in_trace["true"] == in_trace["estimated"]
+        assert untracked["true"] == in_scenario and untracked["estimated"] is None
+        assert json.loads(json.dumps(in_scenario)) == in_scenario
+        assert in_scenario["model"] == "constant_acceleration"
