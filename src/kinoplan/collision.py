@@ -4,8 +4,8 @@ Every obstacle is a point that moves with constant acceleration, grown by its
 safety radius. A timed segment is clear when each of its samples, taken at
 least every ``CHECK_STEP_M`` along space and ``CHECK_STEP_S`` along time,
 lies strictly farther than safety_radius + margin from every predicted
-center. Seed enumeration and the planner's feasibility check both use
-``segments_clear``.
+center. Seed enumeration uses ``segments_clear`` and the planner's
+feasibility check ``polyline_clear``, which calls it on a whole trajectory.
 """
 from __future__ import annotations
 
@@ -115,3 +115,19 @@ def segments_clear(
     limit = (obstacles.radius + margin)[:, None]
     ok = (c[0] + c[1] > limit * limit).all(axis=0)
     return np.logical_and.reduceat(ok, starts)
+
+
+def polyline_clear(
+    p: np.ndarray, dts: np.ndarray, obstacles: _ObstacleArrays, margin: float
+) -> bool:
+    """Is the timed polyline through the (N, 2) states ``p``, leaving p[0] at
+    time 0 and spending ``dts[i]`` on segment i, clear of every obstacle?
+    ``segments_clear`` over all its segments."""
+    times = np.concatenate(([0.0], np.cumsum(dts)))
+    seg = np.diff(p, axis=0)
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    clear = segments_clear(
+        p[:-1, 0], p[:-1, 1], seg[:, 0], seg[:, 1], lengths, times[:-1], dts,
+        obstacles, margin,
+    )
+    return bool(clear.all())

@@ -1,7 +1,7 @@
 """Planar geometric primitives and timed-trajectory domain types.
 
-Everything here is immutable and pure; instances can be shared freely
-across threads.
+Everything here is immutable and pure, and pickles by value, so instances
+can be shared freely, also with the planner's worker processes.
 """
 from __future__ import annotations
 

@@ -52,7 +52,14 @@ def winding_signature(
     Each increment is normalized to (-pi, pi], so a polyline cannot jump a
     winding discontinuously between consecutive waypoints.
     """
-    pts = [(w.x, w.y) for w in waypoints]
+    return _windings([(w.x, w.y) for w in waypoints], obstacles)
+
+
+def _windings(
+    pts: Sequence[Sequence[float]], obstacles: Sequence[ObstacleState]
+) -> HomotopySignature:
+    """``winding_signature`` of the waypoints given as (x, y) pairs, such as
+    the rows of an (N, 2) array's ``tolist()``."""
     windings = []
     for obs in obstacles:
         cx, cy = obs.position.x, obs.position.y

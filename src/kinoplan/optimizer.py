@@ -16,7 +16,7 @@ import numpy as np
 
 from .collision import _ObstacleArrays
 from .geometry import KinodynamicLimits, ObstacleState, Trajectory, Vec2
-from .homotopy import SeedPath, signatures_equivalent, winding_signature
+from .homotopy import SeedPath, _windings, signatures_equivalent
 
 # Extra clearance targeted beyond the safety radius. Kept comfortably above
 # the planner's feasibility margin so near-converged candidates still pass the
@@ -614,8 +614,30 @@ def optimize_candidate(
     verifies the result stayed in the seed's homotopy class. The reported
     final cost uses the base weights so candidates are comparable.
     """
+    p, dts, report = optimize_arrays(
+        seed, obstacles, _ObstacleArrays(obstacles), weights, limits, density,
+        clearance, outer_rounds, max_inner, rel_tol, on_accept,
+    )
+    return _to_trajectory(p, dts), report
+
+
+def optimize_arrays(
+    seed: SeedPath,
+    obstacles: Sequence[ObstacleState],
+    obs: _ObstacleArrays,
+    weights: CostWeights = DEFAULT_WEIGHTS,
+    limits: KinodynamicLimits = DEFAULT_LIMITS,
+    density: DensityParams = DEFAULT_DENSITY,
+    clearance: float = CLEARANCE_BUFFER,
+    outer_rounds: int = OUTER_ROUNDS,
+    max_inner: int = MAX_INNER_ITERS,
+    rel_tol: float = REL_TOL,
+    on_accept: Optional[Callable[[float, float], None]] = None,
+) -> tuple[np.ndarray, np.ndarray, OptimizeReport]:
+    """``optimize_candidate`` without building the ``Trajectory``: returns the
+    (N, 2) positions and (N-1,) durations it would hold, and the report.
+    ``obs`` is ``_ObstacleArrays(obstacles)``."""
     p, dts = _seed_arrays(seed, density.d_max, 0.5 * limits.v_max)
-    obs = _ObstacleArrays(obstacles)
     iterations = 0
     converged = False
     for outer in range(outer_rounds):
@@ -629,13 +651,11 @@ def optimize_candidate(
         p, dts = _adapt_arrays(p, dts, density)
 
     final_cost = _evaluate_or_raise(p, dts, obs, weights, limits, clearance, "after descent").cost
-    traj = _to_trajectory(p, dts)
-    result_sig = winding_signature([s.position for s in traj.states], obstacles)
-    preserved = signatures_equivalent(result_sig, seed.signature)
+    preserved = signatures_equivalent(_windings(p.tolist(), obstacles), seed.signature)
     report = OptimizeReport(
         final_cost=final_cost,
         iterations=iterations,
         converged=converged,
         signature_preserved=preserved,
     )
-    return traj, report
+    return p, dts, report

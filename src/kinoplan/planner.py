@@ -2,7 +2,9 @@
 
 ``plan_once`` runs the full pipeline for one epoch: enumerate homotopy-class
 seeds, optimize every candidate, drop the ones that left their class or fail
-the time-indexed collision check, and pick the cheapest survivor.
+the time-indexed collision check, and pick the cheapest survivor. The
+candidates are optimized and checked at the same time, shared between this
+process and forked workers (``workers.WorkerPool``).
 ``simulate_run`` closes the loop: noisy detections feed per-obstacle Kalman
 tracks, the planner consumes only the estimated obstacle states, and ground
 truth is used solely for collision scoring.
@@ -19,7 +21,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-from .collision import _ObstacleArrays, segments_clear
+from .collision import _ObstacleArrays, polyline_clear
 from .geometry import KinodynamicLimits, MotionModel, ObstacleState, Trajectory, Vec2
 from .homotopy import SeedPath, enumerate_seed_paths
 from .optimizer import (
@@ -28,8 +30,8 @@ from .optimizer import (
     CostWeights,
     DensityParams,
     OptimizationError,
-    OptimizeReport,
-    optimize_candidate,
+    _to_trajectory,
+    optimize_arrays,
 )
 from .tracking import (
     DEFAULT_KALMAN,
@@ -42,6 +44,7 @@ from .tracking import (
     obstacle_at,
     track_to_obstacle,
 )
+from .workers import WorkerPool
 
 GOAL_TOLERANCE = 0.1       # m; the vehicle counts as arrived inside this
 ADVANCE_SAMPLE_S = 0.05    # clearance scoring substep while the vehicle moves
@@ -136,17 +139,10 @@ def trajectory_is_free(
     traj: Trajectory, obstacles: Sequence[ObstacleState], margin: float
 ) -> bool:
     """Time-indexed sweep of every trajectory segment against predicted
-    obstacles: ``collision.segments_clear`` over the whole polyline."""
-    pts = traj.positions()
-    dts = traj.durations()
-    times = np.concatenate(([0.0], np.cumsum(dts)))
-    seg = np.diff(pts, axis=0)
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    clear = segments_clear(
-        pts[:-1, 0], pts[:-1, 1], seg[:, 0], seg[:, 1], lengths, times[:-1], dts,
-        _ObstacleArrays(obstacles), margin,
+    obstacles: ``collision.polyline_clear`` on the trajectory's arrays."""
+    return polyline_clear(
+        traj.positions(), traj.durations(), _ObstacleArrays(obstacles), margin
     )
-    return bool(clear.all())
 
 
 def _point_clear(p: Vec2, obstacles: Sequence[ObstacleState], margin: float) -> bool:
@@ -175,6 +171,46 @@ def select_best(candidates: Sequence[CandidateInfo]) -> int:
     return best
 
 
+def _solve_seeds(
+    seeds: Sequence[SeedPath],
+    obstacles: Sequence[ObstacleState],
+    weights: CostWeights,
+    limits: KinodynamicLimits,
+    density: DensityParams,
+    margin: float,
+    record: bool,
+) -> list[tuple[object, list[tuple[float, float]]]]:
+    """Optimize and check each seed: one ``(outcome, pairs)`` per seed.
+
+    The outcome is ``(p, dts, report, feasible)``, None when the descent
+    raised ``OptimizationError``, or any other exception it raised. ``pairs``
+    holds the (before, after) costs of every accepted descent step when
+    ``record`` is set, and is empty otherwise.
+    """
+    obs = _ObstacleArrays(obstacles)
+    out = []
+    for seed in seeds:
+        pairs: list[tuple[float, float]] = []
+        accept = (lambda before, after: pairs.append((before, after))) if record else None
+        try:
+            p, dts, report = optimize_arrays(
+                seed, obstacles, obs, weights, limits, density, on_accept=accept
+            )
+        except OptimizationError:
+            outcome = None
+        except Exception as exc:
+            outcome = exc
+        else:
+            feasible = report.signature_preserved and polyline_clear(p, dts, obs, margin)
+            outcome = (p, dts, report, feasible)
+        out.append((outcome, pairs))
+    return out
+
+
+# Candidates run here and in forked workers, one per extra CPU.
+_pool = WorkerPool(_solve_seeds)
+
+
 def plan_once(
     scenario: Scenario,
     obstacles: Sequence[ObstacleState],
@@ -184,7 +220,12 @@ def plan_once(
     """Plan a full trajectory from ``start`` (default scenario start) to the goal.
 
     ``obstacles`` are the tracked/known states at the planning epoch;
-    trajectory timestamps are offsets from that epoch.
+    trajectory timestamps are offsets from that epoch. The seeds are shared
+    between this process and the workers of ``_pool``, and the plan is the
+    one that optimizing them here one after another would give.
+    ``on_accept(before, after)`` is called for every accepted descent step,
+    seed by seed, once all candidates are done; an exception other than
+    ``OptimizationError`` from a candidate's descent is raised here.
     """
     tic = time.perf_counter()
     origin = start if start is not None else scenario.start
@@ -204,45 +245,38 @@ def plan_once(
     if not seeds:
         raise PlanFailure("no_path", "no collision-free seed path found")
 
-    def run(seed: SeedPath) -> tuple[Optional[Trajectory], Optional[OptimizeReport]]:
-        try:
-            return optimize_candidate(
-                seed,
-                obstacles,
-                scenario.weights,
-                scenario.limits,
-                scenario.density,
-                on_accept=on_accept,
-            )
-        except OptimizationError:
-            return None, None
-
-    outcomes = [run(s) for s in seeds]
-
+    # Longest seeds first: they tend to take longest to optimize, and
+    # whichever process is free takes the next one.
+    order = sorted(range(len(seeds)), key=lambda i: seeds[i].length, reverse=True)
+    solved = _pool.map(
+        [seeds[i] for i in order], obstacles, scenario.weights, scenario.limits,
+        scenario.density, scenario.margin, on_accept is not None,
+    )
+    by_seed = dict(zip(order, solved))
+    outcomes = [by_seed[i] for i in range(len(seeds))]
     infos: list[CandidateInfo] = []
-    trajectories: list[Optional[Trajectory]] = []
-    for seed, (traj, report) in zip(seeds, outcomes):
-        if traj is None or report is None:
+    for seed, (outcome, pairs) in zip(seeds, outcomes):
+        for before, after in pairs:
+            on_accept(before, after)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        if outcome is None:
             infos.append(CandidateInfo(seed.signature.windings, math.inf, False, False, 0))
-            trajectories.append(None)
             continue
-        feasible = report.signature_preserved and trajectory_is_free(
-            traj, obstacles, scenario.margin
-        )
+        p, _, report, feasible = outcome
         infos.append(
             CandidateInfo(
                 signature=seed.signature.windings,
                 final_cost=report.final_cost,
                 signature_preserved=report.signature_preserved,
                 feasible=feasible,
-                state_count=len(traj.states),
+                state_count=len(p),
             )
         )
-        trajectories.append(traj)
 
     idx = select_best(infos)
-    chosen = trajectories[idx]
-    assert chosen is not None
+    chosen_p, chosen_dts, _, _ = outcomes[idx][0]
+    chosen = _to_trajectory(chosen_p, chosen_dts)
     plan_ms = (time.perf_counter() - tic) * 1000.0
     if log.isEnabledFor(logging.DEBUG):
         for i, c in enumerate(infos):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinoplan.geometry import MotionModel, ObstacleState, Trajectory, Vec2
-from kinoplan.homotopy import HomotopySignature, signatures_equivalent
+from kinoplan.homotopy import HomotopySignature, enumerate_seed_paths, signatures_equivalent
+from kinoplan.optimizer import OptimizationError, optimize_candidate
 from kinoplan.planner import (
     CandidateInfo,
     PlanFailure,
@@ -17,7 +18,9 @@ from kinoplan.planner import (
     simulate_run,
     trajectory_is_free,
 )
+from kinoplan.scenario_io import parse_scenario, parse_scenario_dict
 from kinoplan.tracking import predict_position
+from test_homotopy import CORRIDOR_DOC
 
 TABLE1 = Scenario(
     start=Vec2(-4, 0),
@@ -119,6 +122,82 @@ class TestPlanOnce:
     def test_plan_time_recorded(self):
         result = plan_once(TABLE1, TABLE1.obstacles)
         assert result.plan_time_ms > 0.0
+
+
+def serial_plan(scenario, obstacles, start=None):
+    """``plan_once`` rebuilt from its public layer calls, one seed after
+    another in this process, as the benchmark's traced plan does it.
+    Returns the candidates, the chosen index and the chosen trajectory."""
+    seeds = enumerate_seed_paths(
+        start if start is not None else scenario.start, scenario.goal, obstacles,
+        scenario.max_classes, scenario.margin, conflict_speed=scenario.limits.v_max,
+    )
+    infos, trajectories = [], []
+    for seed in seeds:
+        try:
+            traj, report = optimize_candidate(
+                seed, obstacles, scenario.weights, scenario.limits, scenario.density
+            )
+        except OptimizationError:
+            infos.append(CandidateInfo(seed.signature.windings, math.inf, False, False, 0))
+            trajectories.append(None)
+            continue
+        feasible = report.signature_preserved and trajectory_is_free(
+            traj, obstacles, scenario.margin
+        )
+        infos.append(CandidateInfo(
+            seed.signature.windings, report.final_cost, report.signature_preserved,
+            feasible, len(traj.states),
+        ))
+        trajectories.append(traj)
+    index = select_best(infos)
+    return infos, index, trajectories[index]
+
+
+def _exact(info):
+    return (info.signature, info.final_cost.hex(), info.signature_preserved,
+            info.feasible, info.state_count)
+
+
+class TestPlanOnceMatchesSerialRebuild:
+    """``plan_once`` splits the seeds between this process and forked
+    workers; every candidate and the chosen trajectory must be those of the
+    serial rebuild, bit for bit."""
+
+    @staticmethod
+    def assert_matches(scenario, obstacles, start=None):
+        result = plan_once(scenario, obstacles, start=start)
+        infos, index, chosen = serial_plan(scenario, obstacles, start)
+        assert [_exact(c) for c in result.candidates] == [_exact(c) for c in infos]
+        assert result.chosen_index == index
+        assert result.chosen == chosen
+        assert result.chosen.positions().tobytes() == chosen.positions().tobytes()
+        assert result.chosen.durations().tobytes() == chosen.durations().tobytes()
+        return result
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_bundled_scenarios(self, name, workers, scenario_paths, monkeypatch):
+        monkeypatch.setattr("kinoplan.workers.extra_cpus", lambda: workers)
+        sc = parse_scenario(str(scenario_paths[name]))
+        result = self.assert_matches(sc, sc.obstacles)
+        assert len(result.candidates) > workers
+
+    def test_six_obstacle_corridor(self, monkeypatch):
+        monkeypatch.setattr("kinoplan.workers.extra_cpus", lambda: 1)
+        sc = parse_scenario_dict(CORRIDOR_DOC)
+        self.assert_matches(sc, sc.obstacles)
+
+    def test_closed_loop_replans(self, scenario_paths, monkeypatch):
+        """Tracked obstacles and starts away from the scenario start: the
+        first replans of a closed-loop run, rebuilt from its tick log."""
+        monkeypatch.setattr("kinoplan.workers.extra_cpus", lambda: 1)
+        sc = parse_scenario(str(scenario_paths["scenario3"]))
+        ticks = simulate_run(sc, seed=0).ticks[:10]
+        assert len(ticks) == 10
+        for tick in ticks:
+            known = tuple(o for o in tick.obstacles_est if o is not None)
+            self.assert_matches(sc, known, start=tick.vehicle)
 
 
 class TestSampleTrajectory:
