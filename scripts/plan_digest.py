@@ -9,8 +9,14 @@ Inputs, one output line each (``<label> <sha256>``):
 - ``plan_once`` on the 64 corridor scenes of perfbench seeds 1 and 2: the
   plan document, or the ``PlanFailure`` reason.
 
-Floats enter the digests through ``json.dumps``, whose ``repr`` round-trips,
-so equal digests mean bit-identical plans. Run it on two checkouts and diff:
+After each of those lines comes a ``seeds <label> <sha256>`` line over the
+seed paths of every ``enumerate_seed_paths`` call that the input made:
+waypoints, windings and lengths, each float as ``float.hex``. A change to
+seed enumeration then shows even where the chosen plan does not move.
+
+Floats enter the plan digests through ``json.dumps``, whose ``repr``
+round-trips, so equal digests mean bit-identical plans. Run it on two
+checkouts and diff:
 
     python3 scripts/plan_digest.py > new.txt
     diff old.txt new.txt
@@ -19,12 +25,14 @@ import hashlib
 import json
 import pathlib
 import sys
+from contextlib import contextmanager
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import scenes  # noqa: E402
+from kinoplan import planner  # noqa: E402
 from kinoplan.planner import PlanFailure, plan_once, simulate_run  # noqa: E402
 from kinoplan.scenario_io import (  # noqa: E402
     parse_scenario,
@@ -60,16 +68,49 @@ def trace_doc(scenario, seed: int) -> list:
     return records
 
 
+@contextmanager
+def recorded_seeds():
+    """Collect the seeds of every ``enumerate_seed_paths`` call the planner makes."""
+    calls = []
+    enumerate_seed_paths = planner.enumerate_seed_paths
+
+    def recording(*args, **kwargs):
+        seeds = enumerate_seed_paths(*args, **kwargs)
+        calls.append([
+            [
+                [[float(w.x).hex(), float(w.y).hex()] for w in s.waypoints],
+                [w.hex() for w in s.signature.windings],
+                s.length.hex(),
+            ]
+            for s in seeds
+        ])
+        return seeds
+
+    planner.enumerate_seed_paths = recording
+    try:
+        yield calls
+    finally:
+        planner.enumerate_seed_paths = enumerate_seed_paths
+
+
+def report(label: str, make_doc) -> None:
+    with recorded_seeds() as seeds:
+        doc = make_doc()
+    print(f"{label} {digest(doc)}")
+    print(f"seeds {label} {digest(seeds)}")
+
+
 def main() -> int:
     bundled = {name: parse_scenario(str(ROOT / "scenarios" / f"{name}.json")) for name in BUNDLED}
     for name, scenario in bundled.items():
-        print(f"plan {name} {digest(plan_doc(scenario))}")
+        report(f"plan {name}", lambda: plan_doc(scenario))
     for name, scenario in bundled.items():
         for seed in SIM_SEEDS:
-            print(f"simulate {name} seed={seed} {digest(trace_doc(scenario, seed))}")
+            report(f"simulate {name} seed={seed}", lambda: trace_doc(scenario, seed))
     for seed in CORRIDOR_SEEDS:
         for k, doc in enumerate(scenes.corridor_scenes(seed, CORRIDOR_SCENES)):
-            print(f"corridor seed={seed} scene={k} {digest(plan_doc(parse_scenario_dict(doc)))}")
+            scenario = parse_scenario_dict(doc)
+            report(f"corridor seed={seed} scene={k}", lambda: plan_doc(scenario))
     return 0
 
 

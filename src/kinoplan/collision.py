@@ -4,8 +4,12 @@ Every obstacle is a point that moves with constant acceleration, grown by its
 safety radius. A timed segment is clear when each of its samples, taken at
 least every ``CHECK_STEP_M`` along space and ``CHECK_STEP_S`` along time,
 lies strictly farther than safety_radius + margin from every predicted
-center. Seed enumeration uses ``segments_clear`` and the planner's
-feasibility check ``polyline_clear``, which calls it on a whole trajectory.
+center. A segment's verdict depends on that segment alone, not on the others
+checked in the same call, so callers may batch segments freely and keep
+verdicts. Seed enumeration calls ``segments_clear`` once on its roadmap edges
+at time 0, then on batches of the timed segments it has not yet decided; the
+planner's feasibility check ``polyline_clear`` calls it on a whole
+trajectory. Zero segments, or a polyline of one state, are clear.
 """
 from __future__ import annotations
 
@@ -104,7 +108,7 @@ def segments_clear(
     """
     if (dt < 0.0).any():
         raise ValueError("segment durations must be >= 0")
-    if not obstacles.count:
+    if not obstacles.count or not len(ax):
         return np.ones(len(ax), dtype=bool)
     px, py, t, starts = sweep_samples(ax, ay, dx, dy, lengths, t0, dt)
     # In place, c becomes the squared offsets: (c - p)² is exactly (p - c)².

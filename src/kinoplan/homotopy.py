@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +25,7 @@ MAX_PATHS_EXAMINED = 200     # complete roadmap paths inspected before giving up
 LENGTH_CUTOFF_FACTOR = 3.0   # drop classes longer than this multiple of the shortest
 _MAX_HEAP_POPS = 50_000      # hard stop against pathological roadmaps
 _CENTER_EPS = 1e-6
+_SWEEP_AHEAD = 8             # most complete paths swept ahead with one that needs a verdict
 
 
 @dataclass(frozen=True)
@@ -164,22 +167,151 @@ def _free_matrix(
     return free
 
 
-def _seed_time_clear(
-    waypoints: Sequence[Vec2],
-    obstacles: _ObstacleArrays,
-    margin: float,
-    speed: float,
-) -> bool:
-    """Would this polyline, traversed at constant ``speed``, dodge predictions?"""
-    xs = np.array([w.x for w in waypoints])
-    ys = np.array([w.y for w in waypoints])
-    lengths = np.array([a.distance_to(b) for a, b in zip(waypoints[:-1], waypoints[1:])])
-    times = np.concatenate(([0.0], np.cumsum(lengths / speed)))
-    clear = segments_clear(
-        xs[:-1], ys[:-1], np.diff(xs), np.diff(ys), lengths, times[:-1], np.diff(times),
-        obstacles, margin,
-    )
-    return bool(clear.all())
+class _Search:
+    """The roadmap of one enumeration, its A* heap and its memos.
+
+    Edge winding increments and timed-segment verdicts are computed once per
+    call and kept for it only: obstacles move between calls.
+    """
+
+    def __init__(
+        self,
+        start: Vec2,
+        goal: Vec2,
+        obstacles: Sequence[ObstacleState],
+        margin: float,
+        detour_factor: float,
+        conflict_speed: float | None,
+    ) -> None:
+        self.nodes = [start, goal] + _detour_nodes(
+            start, goal, obstacles, detour_factor, conflict_speed
+        )
+        self.coords = [p.as_tuple() for p in self.nodes]
+        self.lengths = [[a.distance_to(b) for b in self.nodes] for a in self.nodes]
+        self.arrays = _ObstacleArrays(obstacles)
+        free = _free_matrix(self.nodes, self.lengths, self.arrays, margin)
+        self.neighbors = [np.flatnonzero(row).tolist() for row in free]
+        self.to_goal = [row[1] for row in self.lengths]  # admissible: edges are straight
+        self.margin = margin
+        self.speed = conflict_speed
+        self.centers = [o.position.as_tuple() for o in obstacles]
+        # Nodes that coincide with an obstacle center, where _windings raises.
+        self.centered = {
+            i for i, (x, y) in enumerate(self.coords)
+            if any(math.hypot(x - cx, y - cy) <= _CENTER_EPS for cx, cy in self.centers)
+        }
+        self.cutoff = math.inf  # set by the caller once the shortest class is known
+        self._turns: dict[tuple[int, int], list[float]] = {}
+        self._verdicts: dict[tuple[int, ...], bool] = {}
+        self.sweeps = 0  # sweep calls so far; the caller widens its look-ahead by it
+
+    def waypoints(self, path: tuple[int, ...]) -> tuple[Vec2, ...]:
+        return tuple(self.nodes[i] for i in path)
+
+    def _extend(self, windings: list[float], i: int, j: int) -> list[float]:
+        """``windings`` carried along edge i -> j: the sum of ``_windings``,
+        from one ``math.atan2`` increment per edge and obstacle."""
+        turn = self._turns.get((i, j))
+        if turn is None:
+            (xi, yi), (xj, yj) = self.coords[i], self.coords[j]
+            turn = self._turns[i, j] = [
+                math.atan2(px * qy - py * qx, px * qx + py * qy)
+                for px, py, qx, qy in (
+                    (xi - cx, yi - cy, xj - cx, yj - cy) for cx, cy in self.centers
+                )
+            ]
+        return list(map(add, windings, turn))
+
+    def complete_paths(self):
+        """Yield (node path, length, signature) for each complete path, in
+        A* order; the signature is None where ``winding_signature`` raises.
+
+        Entries are (length + to_goal, waypoint key, node path, length,
+        family, rank); ties break by lexicographic waypoint comparison so
+        results are deterministic. A family is the parent's (key, path,
+        windings, children), its children sorted in heap order. Only a
+        family's next child is on the heap: popping child ``rank`` pushes
+        child ``rank + 1``. That pops the same entries in the same order as
+        pushing every child at once, since each child still enters the heap
+        before it can be the smallest entry.
+        """
+        coords, lengths, neighbors, to_goal = (
+            self.coords, self.lengths, self.neighbors, self.to_goal
+        )
+        push, pop = heapq.heappush, heapq.heappop
+        heap = [(to_goal[0], (coords[0],), (0,), 0.0, None, 0)]
+        pops = 0
+        while heap and pops < _MAX_HEAP_POPS:
+            bound, key, path, length, family, rank = pop(heap)
+            pops += 1
+            if bound > self.cutoff:
+                return  # no path left on the heap can finish short enough
+            if family is None:
+                windings = [0.0] * len(self.centers)
+            else:
+                parent_key, parent_path, windings, children = family
+                if rank + 1 < len(children):
+                    b, c, nxt, l = children[rank + 1]
+                    if b <= self.cutoff:
+                        push(heap, (b, parent_key + (c,), parent_path + (nxt,), l,
+                                    family, rank + 1))
+                windings = self._extend(windings, parent_path[-1], path[-1])
+            last = path[-1]
+            if last == 1:
+                if not self.centered.isdisjoint(path):
+                    yield path, length, None
+                else:
+                    yield path, length, HomotopySignature(tuple(windings))
+                continue
+            row = lengths[last]
+            children = []
+            for nxt in neighbors[last]:
+                if nxt in path:
+                    continue
+                new_length = length + row[nxt]
+                new_bound = new_length + to_goal[nxt]
+                if new_bound <= self.cutoff:
+                    children.append((new_bound, coords[nxt], nxt, new_length))
+            if children:
+                children.sort()
+                b, c, nxt, l = children[0]
+                push(heap, (b, key + (c,), path + (nxt,), l,
+                            (key, path, windings, children), 0))
+
+    def time_clear(self, path: tuple[int, ...]) -> bool | None:
+        """Does the path, traversed at ``conflict_speed``, dodge the
+        predicted obstacles? None while one of its segments is undecided."""
+        undecided = False
+        for k in range(2, len(path) + 1):
+            verdict = self._verdicts.get(path[:k])
+            if verdict is None:
+                undecided = True
+            elif not verdict:
+                return False
+        return None if undecided else True
+
+    def sweep(self, paths: list[tuple[int, ...]]) -> None:
+        """Decide every undecided timed segment of ``paths`` in one swept
+        check. A verdict is keyed by the node path that ends with its
+        segment: that prefix fixes the segment's start time."""
+        coords, lengths = self.coords, self.lengths
+        keys: dict[tuple[int, ...], None] = {}
+        rows = []
+        for path in paths:
+            t = 0.0
+            for k in range(1, len(path)):
+                i, j = path[k - 1], path[k]
+                # The floats of np.cumsum(lengths / speed) after a leading 0.0.
+                t_next = t + lengths[i][j] / self.speed
+                key = path[:k + 1]
+                if key not in self._verdicts and key not in keys:
+                    keys[key] = None
+                    (xi, yi), (xj, yj) = coords[i], coords[j]
+                    rows.append((xi, yi, xj - xi, yj - yi, lengths[i][j], t, t_next - t))
+                t = t_next
+        clear = segments_clear(*np.array(rows).T, self.arrays, self.margin)
+        self.sweeps += 1
+        self._verdicts.update(zip(keys, clear.tolist()))
 
 
 def enumerate_seed_paths(
@@ -211,80 +343,82 @@ def enumerate_seed_paths(
     obstacles' *predicted* motion when traversed at that speed; a seed that
     starts clear of future crossings saves the optimizer from symmetric
     local traps. Returns an empty list when no collision-free path exists.
+
+    Within one call, each edge's winding increments are computed once and
+    each timed segment is swept at most once (see ``_Search``), and the
+    seeds are bit for bit those of checking every path on its own.
     """
     if max_classes < 1:
         raise ValueError("max_classes must be >= 1")
-    nodes = [start, goal] + _detour_nodes(
-        start, goal, obstacles, detour_factor, conflict_speed
-    )
-    coords = [p.as_tuple() for p in nodes]
-    lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
-    arrays = _ObstacleArrays(obstacles)
-    free = _free_matrix(nodes, lengths, arrays, margin)
-    neighbors = [np.flatnonzero(row).tolist() for row in free]
-    to_goal = [row[1] for row in lengths]  # admissible: edges are straight
-
-    # A*-ordered enumeration of simple paths from node 0 (start) to node 1
-    # (goal). Entries are (length + to_goal, waypoint key, node path, length);
-    # ties break by lexicographic waypoint comparison so results are
-    # deterministic.
+    search = _Search(start, goal, obstacles, margin, detour_factor, conflict_speed)
+    stream = search.complete_paths()
+    ahead: deque = deque()  # complete paths popped but not yet examined
     kept: list[SeedPath] = []
     clear_flags: list[bool] = []
-    heap: list[tuple[float, tuple[tuple[float, float], ...], tuple[int, ...], float]] = [
-        (to_goal[0], (coords[0],), (0,), 0.0)
-    ]
     examined = 0
-    pops = 0
-    cutoff = math.inf
 
     def done() -> bool:
         if len(kept) < max_classes:
             return False
         return conflict_speed is None or all(clear_flags)
 
-    while heap and not done() and examined < max_paths and pops < _MAX_HEAP_POPS:
-        bound, key, path, length = heapq.heappop(heap)
-        pops += 1
-        if bound > cutoff:
-            break  # no path left on the heap can finish short enough
-        last = path[-1]
-        if last == 1:
-            examined += 1
-            waypoints = tuple(nodes[i] for i in path)
-            try:
-                sig = winding_signature(waypoints, obstacles)
-            except ValueError:
-                continue
-            match = next(
-                (k for k, kp in enumerate(kept) if signatures_equivalent(sig, kp.signature)),
-                None,
-            )
-            if match is None:
-                if len(kept) < max_classes:
-                    kept.append(SeedPath(waypoints, sig, length))
-                    clear_flags.append(
-                        conflict_speed is None
-                        or _seed_time_clear(waypoints, arrays, margin, conflict_speed)
-                    )
-                    if len(kept) == 1:
-                        cutoff = length * LENGTH_CUTOFF_FACTOR
-            elif conflict_speed is not None and not clear_flags[match]:
-                # Same class, longer path: upgrade only if it clears the
-                # predicted motion that the current representative hits.
-                if _seed_time_clear(waypoints, arrays, margin, conflict_speed):
-                    kept[match] = SeedPath(waypoints, sig, length)
-                    clear_flags[match] = True
+    def may_need_verdict(sig: HomotopySignature) -> bool:
+        """Could a path with this signature still need a time verdict when
+        its turn comes? Clear representatives never change; an unclear one
+        may be replaced by a path of another signature."""
+        for k, kp in enumerate(kept):
+            if not clear_flags[k]:
+                return True
+            if signatures_equivalent(sig, kp.signature):
+                return False
+        return len(kept) < max_classes
+
+    def is_time_clear(path: tuple[int, ...]) -> bool:
+        verdict = search.time_clear(path)
+        if verdict is None:
+            # The pop order does not depend on any verdict, and the cutoff
+            # is already set, so the next complete paths can be popped now
+            # and their undecided segments swept along with this path's.
+            # That pays off in calls that keep needing verdicts, so the
+            # window starts at 0 and grows to 1, 3, 7 with each sweep.
+            window = min(_SWEEP_AHEAD, (1 << search.sweeps) - 1)
+            while len(ahead) < window and examined + len(ahead) < max_paths:
+                entry = next(stream, None)
+                if entry is None:
+                    break
+                ahead.append(entry)
+            search.sweep([path] + [
+                p for p, _, sig in ahead
+                if sig is not None and search.time_clear(p) is None and may_need_verdict(sig)
+            ])
+            verdict = search.time_clear(path)
+        return verdict
+
+    while not done() and examined < max_paths:
+        entry = ahead.popleft() if ahead else next(stream, None)
+        if entry is None:
+            break
+        path, length, sig = entry
+        examined += 1
+        if sig is None:
             continue
-        for nxt in neighbors[last]:
-            if nxt in path:
-                continue
-            new_length = length + lengths[last][nxt]
-            new_bound = new_length + to_goal[nxt]
-            if new_bound > cutoff:
-                continue
-            heapq.heappush(
-                heap, (new_bound, key + (coords[nxt],), path + (nxt,), new_length)
-            )
+        match = next(
+            (k for k, kp in enumerate(kept) if signatures_equivalent(sig, kp.signature)),
+            None,
+        )
+        if match is None:
+            if len(kept) < max_classes:
+                if not kept:
+                    search.cutoff = length * LENGTH_CUTOFF_FACTOR
+                clear = conflict_speed is None or is_time_clear(path)
+                kept.append(SeedPath(search.waypoints(path), sig, length))
+                clear_flags.append(clear)
+        elif conflict_speed is not None and not clear_flags[match]:
+            # Same class, longer path: upgrade only if it clears the
+            # predicted motion that the current representative hits.
+            if is_time_clear(path):
+                kept[match] = SeedPath(search.waypoints(path), sig, length)
+                clear_flags[match] = True
     order = sorted(
         range(len(kept)),
         key=lambda k: (kept[k].length, tuple(w.as_tuple() for w in kept[k].waypoints)),

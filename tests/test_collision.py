@@ -9,6 +9,7 @@ from kinoplan.collision import (
     CHECK_STEP_M,
     CHECK_STEP_S,
     _ObstacleArrays,
+    polyline_clear,
     segments_clear,
     sweep_samples,
 )
@@ -97,6 +98,18 @@ class TestSegmentsClear:
         # same geometry traversed fast enough is fine
         assert segment_clear(obs, a, b, 0.0, 1.0, 0.0)
         assert dense_time_oracle(obs, a, b, 0.0, 1.0, 0.0) is True
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_zero_segments(self, count):
+        obstacles = _ObstacleArrays([ObstacleState(Vec2(k, 0)) for k in range(count)])
+        empty = np.zeros(0)
+        clear = segments_clear(empty, empty, empty, empty, empty, empty, empty, obstacles, 0.0)
+        assert clear.dtype == bool
+        assert clear.shape == (0,)
+
+    def test_one_state_polyline_is_clear(self):
+        obstacles = _ObstacleArrays([ObstacleState(Vec2(3, 0))])
+        assert polyline_clear(np.array([[0.0, 0.0]]), np.zeros(0), obstacles, 0.0) is True
 
     def test_rejects_reversed_times(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kinoplan import homotopy, planner
 from kinoplan.collision import _ObstacleArrays, segments_clear
 from kinoplan.geometry import MotionModel, ObstacleState, Vec2
 from kinoplan.homotopy import (
+    _MAX_HEAP_POPS,
     DETOUR_FACTOR,
     LENGTH_CUTOFF_FACTOR,
     MAX_PATHS_EXAMINED,
@@ -16,12 +18,13 @@ from kinoplan.homotopy import (
     SeedPath,
     _detour_nodes,
     _free_matrix,
+    _Search,
     enumerate_seed_paths,
     signatures_equivalent,
     winding_signature,
 )
 from kinoplan.planner import PlanFailure, plan_once
-from kinoplan.scenario_io import parse_scenario_dict
+from kinoplan.scenario_io import parse_scenario, parse_scenario_dict
 from test_collision import ref_segment_is_free
 
 TABLE1_OBSTACLES = (
@@ -400,3 +403,240 @@ class TestAgainstLengthOrderedOracle:
             for a, b, ta, tb in zip(pts[:-1], pts[1:], t_a, t_b)
         ]
         assert got.tolist() == expected
+
+
+def _frozen_timed_segments(waypoints, speed):
+    """The ``segments_clear`` arrays of a polyline traversed at ``speed``."""
+    xs = np.array([w.x for w in waypoints])
+    ys = np.array([w.y for w in waypoints])
+    lengths = np.array([a.distance_to(b) for a, b in zip(waypoints[:-1], waypoints[1:])])
+    times = np.concatenate(([0.0], np.cumsum(lengths / speed)))
+    return xs[:-1], ys[:-1], np.diff(xs), np.diff(ys), lengths, times[:-1], np.diff(times)
+
+
+def _frozen_time_clear(waypoints, obstacles, margin, speed):
+    """Frozen copy of the whole-path time check that the verdict memo replaced."""
+    clear = segments_clear(*_frozen_timed_segments(waypoints, speed), obstacles, margin)
+    return bool(clear.all())
+
+
+def _frozen_enumerate(start, goal, obstacles, max_classes, margin, conflict_speed=None):
+    """Frozen copy of ``enumerate_seed_paths`` before its verdict memo and
+    edge winding increments: every examined path gets its own
+    ``winding_signature``, and every time check sweeps the whole path."""
+    nodes = [start, goal] + _detour_nodes(start, goal, obstacles, DETOUR_FACTOR, conflict_speed)
+    coords = [p.as_tuple() for p in nodes]
+    lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
+    arrays = _ObstacleArrays(obstacles)
+    free = _free_matrix(nodes, lengths, arrays, margin)
+    neighbors = [np.flatnonzero(row).tolist() for row in free]
+    to_goal = [row[1] for row in lengths]
+    kept, clear_flags = [], []
+    heap = [(to_goal[0], (coords[0],), (0,), 0.0)]
+    examined = pops = 0
+    cutoff = math.inf
+
+    def done():
+        return len(kept) >= max_classes and (conflict_speed is None or all(clear_flags))
+
+    while heap and not done() and examined < MAX_PATHS_EXAMINED and pops < _MAX_HEAP_POPS:
+        bound, key, path, length = heapq.heappop(heap)
+        pops += 1
+        if bound > cutoff:
+            break
+        last = path[-1]
+        if last == 1:
+            examined += 1
+            waypoints = tuple(nodes[i] for i in path)
+            try:
+                sig = winding_signature(waypoints, obstacles)
+            except ValueError:
+                continue
+            match = next(
+                (k for k, kp in enumerate(kept) if signatures_equivalent(sig, kp.signature)),
+                None,
+            )
+            if match is None:
+                if len(kept) < max_classes:
+                    kept.append(SeedPath(waypoints, sig, length))
+                    clear_flags.append(
+                        conflict_speed is None
+                        or _frozen_time_clear(waypoints, arrays, margin, conflict_speed)
+                    )
+                    if len(kept) == 1:
+                        cutoff = length * LENGTH_CUTOFF_FACTOR
+            elif conflict_speed is not None and not clear_flags[match]:
+                if _frozen_time_clear(waypoints, arrays, margin, conflict_speed):
+                    kept[match] = SeedPath(waypoints, sig, length)
+                    clear_flags[match] = True
+            continue
+        for nxt in neighbors[last]:
+            if nxt in path:
+                continue
+            new_length = length + lengths[last][nxt]
+            new_bound = new_length + to_goal[nxt]
+            if new_bound > cutoff:
+                continue
+            heapq.heappush(heap, (new_bound, key + (coords[nxt],), path + (nxt,), new_length))
+    kept.sort(key=lambda s: (s.length, tuple(w.as_tuple() for w in s.waypoints)))
+    return kept
+
+
+def _exact(seeds):
+    """Seeds with every float as ``float.hex``, so equality means bit for bit."""
+    return [
+        (
+            tuple((float(w.x).hex(), float(w.y).hex()) for w in s.waypoints),
+            tuple(w.hex() for w in s.signature.windings),
+            s.length.hex(),
+        )
+        for s in seeds
+    ]
+
+
+def _assert_same_as_frozen(start, goal, obstacles, max_classes, margin, conflict_speed):
+    expected = _frozen_enumerate(start, goal, obstacles, max_classes, margin, conflict_speed)
+    got = enumerate_seed_paths(
+        start, goal, obstacles, max_classes, margin, conflict_speed=conflict_speed
+    )
+    assert _exact(got) == _exact(expected)
+    return got
+
+
+def _scenario_args(sc):
+    return sc.start, sc.goal, sc.obstacles, sc.max_classes, sc.margin, sc.limits.v_max
+
+
+mixed_obstacle_st = st.builds(
+    lambda model, x, y, vx, vy, ax, ay, r: ObstacleState(
+        Vec2(x, y),
+        Vec2(vx, vy) if model != MotionModel.STATIC else Vec2(0.0, 0.0),
+        Vec2(ax, ay) if model == MotionModel.CONST_ACCELERATION else Vec2(0.0, 0.0),
+        safety_radius=r,
+        model=model,
+    ),
+    st.sampled_from(list(MotionModel)),
+    coord,
+    st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
+    small, small,
+    st.floats(min_value=-0.03, max_value=0.03, allow_nan=False),
+    st.floats(min_value=-0.03, max_value=0.03, allow_nan=False),
+    st.floats(min_value=0.2, max_value=0.8, allow_nan=False),
+)
+
+# Two obstacles moving head-on along the start-goal line: every short path
+# in either class meets one of them, so both representatives are upgraded
+# to longer time-clear paths, and later paths are rejected through segments
+# already found blocked in paths examined before them.
+HEAD_ON = (
+    ObstacleState(Vec2(0, 0), Vec2(0.25, 0), model=MotionModel.CONST_VELOCITY),
+    ObstacleState(Vec2(2, 0), Vec2(-0.5, 0), model=MotionModel.CONST_VELOCITY),
+)
+
+
+class TestAgainstFrozenEnumeration:
+    @given(
+        obstacles=st.lists(mixed_obstacle_st, min_size=1, max_size=6),
+        max_classes=st.integers(min_value=1, max_value=5),
+        margin=st.sampled_from([0.0, 0.05]),
+        conflict_speed=st.sampled_from([None, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_seeds_bit_for_bit(self, obstacles, max_classes, margin, conflict_speed):
+        _assert_same_as_frozen(START, GOAL, obstacles, max_classes, margin, conflict_speed)
+
+    def test_corridor_doc(self):
+        _assert_same_as_frozen(*_scenario_args(parse_scenario_dict(CORRIDOR_DOC)))
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_bundled_scenarios(self, scenario_paths, name):
+        _assert_same_as_frozen(*_scenario_args(parse_scenario(str(scenario_paths[name]))))
+
+    def test_closed_loop_replans(self, scenario_paths, monkeypatch):
+        class Enough(Exception):
+            pass
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            if len(calls) == 15:
+                raise Enough
+            calls.append((args, kwargs))
+            return enumerate_seed_paths(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "enumerate_seed_paths", recording)
+        with pytest.raises(Enough):
+            planner.simulate_run(parse_scenario(str(scenario_paths["scenario3"])), seed=0)
+        for (start, goal, obstacles, max_classes, margin), kwargs in calls:
+            _assert_same_as_frozen(
+                start, goal, obstacles, max_classes, margin, kwargs["conflict_speed"]
+            )
+
+
+class TestVerdictBranches:
+    def test_representatives_upgraded_to_later_time_clear_paths(self):
+        seeds = _assert_same_as_frozen(START, GOAL, HEAD_ON, 2, 0.0, 0.5)
+        shortest = enumerate_seed_paths(START, GOAL, HEAD_ON, 2, 0.0)
+        assert [[w.as_tuple() for w in s.waypoints] for s in shortest] == [
+            [(-4, 0), (2.0, -1.0), (4, 0)],
+            [(-4, 0), (2.0, 1.0), (4, 0)],
+        ]
+        assert [[w.as_tuple() for w in s.waypoints] for s in seeds] == [
+            [(-4, 0), (0.0, -1.0), (2.0, -1.0), (4.0, -1.0), (4, 0)],
+            [(-4, 0), (0.0, 1.0), (2.0, 1.0), (4.0, 1.0), (4, 0)],
+        ]
+        for upgraded, first in zip(seeds, shortest):
+            assert signatures_equivalent(upgraded.signature, first.signature)
+            assert upgraded.length > first.length
+
+    def test_path_rejected_through_blocked_shared_prefix(self, monkeypatch):
+        swept, verdicts = set(), []
+        sweep, time_clear = _Search.sweep, _Search.time_clear
+
+        def recording_sweep(self, paths):
+            swept.update(paths)
+            sweep(self, paths)
+
+        def recording_time_clear(self, path):
+            verdict = time_clear(self, path)
+            verdicts.append((path, verdict))
+            return verdict
+
+        monkeypatch.setattr(_Search, "sweep", recording_sweep)
+        monkeypatch.setattr(_Search, "time_clear", recording_time_clear)
+        _assert_same_as_frozen(START, GOAL, HEAD_ON, 2, 0.0, 0.5)
+        rejected_unswept = {p for p, v in verdicts if v is False and p not in swept}
+        assert rejected_unswept
+        # Each was rejected through a blocked segment decided for a path
+        # swept before it, which shares the prefix ending with that segment.
+        for path in rejected_unswept:
+            assert any(
+                other[:k] == path[:k]
+                for other in swept
+                for k in range(2, len(path))
+            )
+
+    def test_swept_segments_carry_whole_path_floats(self, monkeypatch):
+        # A memoized verdict must come from the very floats that a sweep of
+        # the whole path gives its segment: start times from the cumulative
+        # sum, durations as differences of consecutive times.
+        rows, swept = set(), []
+
+        def recording_segments_clear(*args):
+            rows.update(zip(*(a.tolist() for a in args[:7])))
+            return segments_clear(*args)
+
+        sweep = _Search.sweep
+
+        def recording_sweep(self, paths):
+            swept.extend(self.waypoints(p) for p in paths)
+            sweep(self, paths)
+
+        monkeypatch.setattr(homotopy, "segments_clear", recording_segments_clear)
+        monkeypatch.setattr(_Search, "sweep", recording_sweep)
+        sc = parse_scenario_dict(CORRIDOR_DOC)
+        _assert_same_as_frozen(*_scenario_args(sc))
+        assert swept
+        for waypoints in swept:
+            segments = _frozen_timed_segments(waypoints, sc.limits.v_max)
+            assert set(zip(*(a.tolist() for a in segments))) <= rows
