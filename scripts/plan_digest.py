@@ -15,15 +15,24 @@ waypoints, windings and lengths, each float as ``float.hex``. A change to
 seed enumeration then shows even where the chosen plan does not move.
 
 Floats enter the plan digests through ``json.dumps``, whose ``repr``
-round-trips, so equal digests mean bit-identical plans. Run it on two
-checkouts and diff:
+round-trips, so equal digests mean bit-identical plans. The first line is a
+``#`` header with the Python and NumPy versions that made the digests.
 
-    python3 scripts/plan_digest.py > new.txt
-    diff old.txt new.txt
+The committed ledger ``scripts/plan_ledger.txt`` is this script's output.
+``--check`` regenerates it and compares line by line:
+
+    python3 scripts/plan_digest.py --check scripts/plan_ledger.txt
+
+It exits 1 and names each input whose line differs, is missing or is new.
+A change that moves plans on purpose regenerates the ledger:
+
+    python3 scripts/plan_digest.py > scripts/plan_ledger.txt
 """
+import argparse
 import hashlib
 import json
 import pathlib
+import platform
 import sys
 from contextlib import contextmanager
 
@@ -31,6 +40,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import scenes  # noqa: E402
 from kinoplan import planner  # noqa: E402
 from kinoplan.planner import PlanFailure, plan_once, simulate_run  # noqa: E402
@@ -93,24 +103,68 @@ def recorded_seeds():
         planner.enumerate_seed_paths = enumerate_seed_paths
 
 
-def report(label: str, make_doc) -> None:
+def report(label: str, make_doc):
     with recorded_seeds() as seeds:
         doc = make_doc()
-    print(f"{label} {digest(doc)}")
-    print(f"seeds {label} {digest(seeds)}")
+    yield f"{label} {digest(doc)}"
+    yield f"seeds {label} {digest(seeds)}"
 
 
-def main() -> int:
+def ledger_lines():
+    """The header, then the digest lines, each made as the inputs are planned."""
+    yield f"# python {platform.python_version()} numpy {np.__version__}"
     bundled = {name: parse_scenario(str(ROOT / "scenarios" / f"{name}.json")) for name in BUNDLED}
     for name, scenario in bundled.items():
-        report(f"plan {name}", lambda: plan_doc(scenario))
+        yield from report(f"plan {name}", lambda: plan_doc(scenario))
     for name, scenario in bundled.items():
         for seed in SIM_SEEDS:
-            report(f"simulate {name} seed={seed}", lambda: trace_doc(scenario, seed))
+            yield from report(f"simulate {name} seed={seed}", lambda: trace_doc(scenario, seed))
     for seed in CORRIDOR_SEEDS:
         for k, doc in enumerate(scenes.corridor_scenes(seed, CORRIDOR_SCENES)):
             scenario = parse_scenario_dict(doc)
-            report(f"corridor seed={seed} scene={k}", lambda: plan_doc(scenario))
+            yield from report(f"corridor seed={seed} scene={k}", lambda: plan_doc(scenario))
+
+
+def split(line: str) -> tuple[str, str]:
+    """A digest line's label and sha256."""
+    label, _, sha = line.rpartition(" ")
+    return label, sha
+
+
+def check(path: pathlib.Path) -> int:
+    """Compare a fresh ledger with the one at ``path``; 1 if any input differs."""
+    header, *rest = path.read_text().splitlines()
+    expected = dict(split(line) for line in rest)
+    lines = ledger_lines()
+    current = next(lines)
+    if current != header:
+        print(f"note: ledger made with {header[2:]!r}, this run has {current[2:]!r}",
+              file=sys.stderr)
+    differing = []
+    seen = set()
+    for line in lines:
+        label, sha = split(line)
+        seen.add(label)
+        if label not in expected:
+            differing.append(f"new: {label}")
+        elif expected[label] != sha:
+            differing.append(f"differs: {label}")
+    differing += [f"missing: {label}" for label in expected if label not in seen]
+    for line in differing:
+        print(line)
+    print(f"{path}: {len(seen)} lines checked, {len(differing)} differ")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="PATH", type=pathlib.Path,
+                        help="compare with the ledger at PATH instead of printing")
+    args = parser.parse_args()
+    if args.check is not None:
+        return check(args.check)
+    for line in ledger_lines():
+        print(line, flush=True)
     return 0
 
 

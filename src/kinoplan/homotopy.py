@@ -11,14 +11,13 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 import numpy as np
 
 from .collision import _ObstacleArrays, segments_clear
 from .geometry import ObstacleState, Vec2
-from .tracking import predict_position
 
 DETOUR_FACTOR = 2.0          # detour nodes sit at this multiple of the safety radius
 MAX_PATHS_EXAMINED = 200     # complete roadmap paths inspected before giving up
@@ -99,50 +98,76 @@ def _detour_nodes(
     if norm == 0.0:
         raise ValueError("start and goal coincide")
     perp = Vec2(-direction.y / norm, direction.x / norm)
+    anchors: dict[int, Vec2 | None] = {}
+    if conflict_speed is not None:
+        moving = [
+            k for k, obs in enumerate(obstacles)
+            if obs.velocity.norm() > 0.0 or obs.acceleration.norm() > 0.0
+        ]
+        anchors = dict(zip(moving, _conflict_anchors(
+            start, direction, norm, [obstacles[k] for k in moving], conflict_speed, factor
+        )))
     nodes = []
-    for obs in obstacles:
+    for k, obs in enumerate(obstacles):
         offset = perp.scaled(obs.safety_radius * factor)
-        anchors = [obs.position]
-        if conflict_speed is not None and (
-            obs.velocity.norm() > 0.0 or obs.acceleration.norm() > 0.0
-        ):
-            anchor = _conflict_anchor(start, direction, norm, obs, conflict_speed, factor)
-            if anchor is not None and anchor.distance_to(obs.position) > 0.1 * obs.safety_radius:
-                anchors.append(anchor)
-        for c in anchors:
+        centers = [obs.position]
+        anchor = anchors.get(k)
+        if anchor is not None and anchor.distance_to(obs.position) > 0.1 * obs.safety_radius:
+            centers.append(anchor)
+        for c in centers:
             nodes.append(c + offset)
             nodes.append(c - offset)
     return nodes
 
 
-def _conflict_anchor(
+_ANCHOR_STEPS = 40  # the nominal pass is checked at 41 evenly spaced times
+
+
+def _conflict_anchors(
     start: Vec2,
     direction: Vec2,
     span: float,
-    obs: ObstacleState,
+    obstacles: Sequence[ObstacleState],
     speed: float,
     factor: float,
-) -> Vec2 | None:
-    """Predicted obstacle position at its closest approach to a nominal
-    straight start-goal traversal at constant ``speed``; None if the nominal
-    pass never comes near it. Moving obstacles conflict where they WILL be,
-    not where they are, so detours must be anchored there."""
+) -> list[Vec2 | None]:
+    """Each obstacle's predicted position at its closest approach to a
+    nominal straight start-goal traversal at constant ``speed``; None where
+    the nominal pass never comes near it. Moving obstacles conflict where
+    they WILL be, not where they are, so detours must be anchored there.
+
+    The 41 predicted positions of every obstacle come from one array pass, with
+    the floats of ``tracking.predict_position`` (same operations, same
+    order). The distances stay ``math.hypot``, whose floats ``np.hypot``
+    does not always give.
+    """
     horizon = span / speed
-    best_d = math.inf
-    best = obs.position
-    for k in range(41):
-        t = horizon * k / 40.0
-        f = speed * t / span
-        px = start.x + direction.x * f
-        py = start.y + direction.y * f
-        c = predict_position(obs, t)
-        d = math.hypot(px - c.x, py - c.y)
-        if d < best_d:
-            best_d = d
-            best = c
-    if best_d > obs.safety_radius * factor:
-        return None
-    return best
+    t = horizon * np.arange(_ANCHOR_STEPS + 1) / _ANCHOR_STEPS
+    f = speed * t / span
+    px = (start.x + direction.x * f).tolist()
+    py = (start.y + direction.y * f).tolist()
+    arrays = _ObstacleArrays(obstacles)
+    t = t[:, None]
+    c = arrays.pos + arrays.vel * t + 0.5 * arrays.acc * t * t  # (2, 41, M)
+    anchors = []
+    for obs, cx, cy in zip(obstacles, c[0].T.tolist(), c[1].T.tolist()):
+        d = list(map(math.hypot, map(sub, px, cx), map(sub, py, cy)))
+        k = d.index(min(d))
+        anchors.append(None if d[k] > obs.safety_radius * factor else Vec2(cx[k], cy[k]))
+    return anchors
+
+
+def _lengths(coords: Sequence[tuple[float, float]]) -> list[list[float]]:
+    """Pairwise ``Vec2.distance_to`` of the roadmap nodes: each pair once,
+    mirrored, since ``math.hypot`` ignores the signs of its arguments."""
+    n = len(coords)
+    lengths = [[0.0] * n for _ in range(n)]
+    for i, (xi, yi) in enumerate(coords):
+        row = lengths[i]
+        for j in range(i + 1, n):
+            xj, yj = coords[j]
+            row[j] = lengths[j][i] = math.hypot(xi - xj, yi - yj)
+    return lengths
 
 
 def _free_matrix(
@@ -187,7 +212,7 @@ class _Search:
             start, goal, obstacles, detour_factor, conflict_speed
         )
         self.coords = [p.as_tuple() for p in self.nodes]
-        self.lengths = [[a.distance_to(b) for b in self.nodes] for a in self.nodes]
+        self.lengths = _lengths(self.coords)
         self.arrays = _ObstacleArrays(obstacles)
         free = _free_matrix(self.nodes, self.lengths, self.arrays, margin)
         self.neighbors = [np.flatnonzero(row).tolist() for row in free]

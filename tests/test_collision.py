@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from kinoplan.collision import (
     CHECK_STEP_M,
     CHECK_STEP_S,
+    _instant_clear,
     _ObstacleArrays,
+    _swept_clear,
     polyline_clear,
     segments_clear,
     sweep_samples,
@@ -16,6 +18,7 @@ from kinoplan.collision import (
 from kinoplan.geometry import MotionModel, ObstacleState, Vec2
 from kinoplan.homotopy import _free_matrix
 from kinoplan.scenario_io import parse_scenario
+from kinoplan.tracking import predict_position
 
 coord = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
 
@@ -167,3 +170,99 @@ class TestExactTouch:
         assert not segment_clear([first], sc.start, touch, 0.0, 0.0, 0.0)
         assert not ref_segment_is_free([first], sc.start, touch, 0.0, 0.0, 0.0)
         assert segment_clear([first], sc.start, Vec2(-2.5 - 1e-9, 0), 0.0, 0.0, 0.0)
+
+
+instant_obstacle_st = st.builds(
+    lambda model, x, y, vx, vy, ax, ay, r: ObstacleState(
+        Vec2(x, y),
+        Vec2(vx, vy) if model != MotionModel.STATIC else Vec2(0.0, 0.0),
+        Vec2(ax, ay) if model == MotionModel.CONST_ACCELERATION else Vec2(0.0, 0.0),
+        safety_radius=r,
+        model=model,
+    ),
+    st.sampled_from(list(MotionModel)),
+    coord, coord,
+    st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(min_value=-0.1, max_value=0.1), st.floats(min_value=-0.1, max_value=0.1),
+    st.floats(min_value=0.2, max_value=0.8),
+)
+# How far a constructed edge passes outside (+) or inside (-) a circle.
+graze_st = st.tuples(
+    st.sampled_from([1.0, -1.0]), st.sampled_from([1e-9, 1e-8, 1e-7, 1e-6])
+).map(lambda sign_size: sign_size[0] * sign_size[1])
+
+
+def _edge_arrays(edges, t0):
+    """``segments_clear`` arrays of (a, b) edges that take no time."""
+    ax, ay, bx, by = (np.array(v, dtype=float) for v in zip(*edges))
+    dx, dy = bx - ax, by - ay
+    zero = np.zeros(len(edges))
+    return ax, ay, dx, dy, np.hypot(dx, dy), zero + t0, zero
+
+
+class TestInstantBranch:
+    """Calls whose segments all take no time skip most of the sweep, and
+    must give the sampled kernel's verdicts exactly."""
+
+    def test_matches_sampled_kernel(self):
+        outcomes = set()
+
+        @given(
+            obstacles=st.lists(instant_obstacle_st, min_size=1, max_size=6),
+            nodes=st.lists(st.tuples(coord, coord), min_size=2, max_size=8),
+            margin=st.sampled_from([0.0, 0.05]),
+            t0=st.sampled_from([0.0, 1.5]),
+            grazes=st.lists(graze_st, min_size=6, max_size=6),
+            angles=st.lists(st.floats(min_value=0.0, max_value=2 * math.pi),
+                            min_size=6, max_size=6),
+            half=st.floats(min_value=0.01, max_value=1.5),
+        )
+        @settings(max_examples=120, deadline=None)
+        def check(obstacles, nodes, margin, t0, grazes, angles, half):
+            edges = [(a + b) for k, a in enumerate(nodes) for b in nodes[k + 1:]]
+            for obs, graze, theta in zip(obstacles, grazes, angles):
+                c = predict_position(obs, t0)
+                reach = obs.safety_radius + margin + graze
+                ux, uy = math.cos(theta), math.sin(theta)
+                qx, qy = c.x + reach * ux, c.y + reach * uy  # on the tangent
+                edges.append((qx - half * uy, qy + half * ux, qx + half * uy, qy - half * ux))
+                edges.append((qx, qy, qx, qy))  # zero length, at the graze
+                inside = (c.x + 0.5 * obs.safety_radius * ux, c.y + 0.5 * obs.safety_radius * uy)
+                edges.append(inside + nodes[0])  # an endpoint inside the circle
+            edges.append(nodes[0] + nodes[0])
+            arrays = _ObstacleArrays(obstacles)
+            rows = _edge_arrays(edges, t0)
+            got = segments_clear(*rows, arrays, margin)
+            expected = _swept_clear(*rows, arrays, arrays.radius + margin)
+            assert got.tolist() == expected.tolist()
+            clear, undecided = _instant_clear(*rows, arrays, arrays.radius + margin)
+            decided = ~undecided
+            assert clear[decided].tolist() == expected[decided].tolist()
+            outcomes.update(
+                "sampled" if u else ("clear" if ok else "blocked")
+                for ok, u in zip(clear.tolist(), undecided.tolist())
+            )
+
+        check()
+        assert outcomes == {"clear", "blocked", "sampled"}
+
+    def test_three_outcomes(self):
+        # One obstacle at the origin, limit 0.5: a far edge is clear by bound,
+        # an edge through the center is blocked by its probe, and an edge
+        # 1e-9 m outside the circle is left to the sweep, which clears it.
+        arrays = _ObstacleArrays([ObstacleState(Vec2(0, 0))])
+        edges = [(-1.0, 2.0, 1.0, 2.0), (-1.0, 0.0, 1.0, 0.0), (-1.0, 0.5 + 1e-9, 1.0, 0.5 + 1e-9)]
+        rows = _edge_arrays(edges, 0.0)
+        clear, undecided = _instant_clear(*rows, arrays, arrays.radius)
+        assert undecided.tolist() == [False, False, True]
+        assert clear[:2].tolist() == [True, False]
+        assert segments_clear(*rows, arrays, 0.0).tolist() == [True, False, True]
+
+    def test_probe_rejects_on_the_sampled_float(self):
+        # The edge's only sample inside the circle is its probe; a sample
+        # exactly on the circle is a touch, and blocks.
+        arrays = _ObstacleArrays([ObstacleState(Vec2(0, 0))])
+        rows = _edge_arrays([(-1.0, 0.5, 1.0, 0.5)], 0.0)
+        clear, undecided = _instant_clear(*rows, arrays, arrays.radius)
+        assert (clear.tolist(), undecided.tolist()) == ([False], [False])
+        assert not _swept_clear(*rows, arrays, arrays.radius)[0]

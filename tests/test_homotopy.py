@@ -16,6 +16,7 @@ from kinoplan.homotopy import (
     MAX_PATHS_EXAMINED,
     HomotopySignature,
     SeedPath,
+    _conflict_anchors,
     _detour_nodes,
     _free_matrix,
     _Search,
@@ -25,6 +26,7 @@ from kinoplan.homotopy import (
 )
 from kinoplan.planner import PlanFailure, plan_once
 from kinoplan.scenario_io import parse_scenario, parse_scenario_dict
+from kinoplan.tracking import predict_position
 from test_collision import ref_segment_is_free
 
 TABLE1_OBSTACLES = (
@@ -640,3 +642,68 @@ class TestVerdictBranches:
         for waypoints in swept:
             segments = _frozen_timed_segments(waypoints, sc.limits.v_max)
             assert set(zip(*(a.tolist() for a in segments))) <= rows
+
+
+def _frozen_conflict_anchor(start, direction, span, obs, speed, factor):
+    """Frozen copy of the scalar ``_conflict_anchor`` that ``_conflict_anchors``
+    replaced: 41 ``predict_position`` calls and ``math.hypot`` distances."""
+    horizon = span / speed
+    best_d = math.inf
+    best = obs.position
+    for k in range(41):
+        t = horizon * k / 40.0
+        f = speed * t / span
+        px = start.x + direction.x * f
+        py = start.y + direction.y * f
+        c = predict_position(obs, t)
+        d = math.hypot(px - c.x, py - c.y)
+        if d < best_d:
+            best_d = d
+            best = c
+    if best_d > obs.safety_radius * factor:
+        return None
+    return best
+
+
+def _anchor_hex(anchor):
+    return None if anchor is None else (anchor.x.hex(), anchor.y.hex())
+
+
+def _assert_anchors_frozen(start, goal, obstacles, speed, factor=DETOUR_FACTOR):
+    direction = goal - start
+    span = direction.norm()
+    got = _conflict_anchors(start, direction, span, obstacles, speed, factor)
+    expected = [
+        _frozen_conflict_anchor(start, direction, span, obs, speed, factor) for obs in obstacles
+    ]
+    assert [_anchor_hex(a) for a in got] == [_anchor_hex(a) for a in expected]
+    return got
+
+
+class TestConflictAnchors:
+    def test_same_floats_as_frozen_scalar_version(self):
+        found = set()
+
+        @given(
+            obstacles=st.lists(mixed_obstacle_st, min_size=0, max_size=6),
+            goal=st.tuples(coord, coord),
+            speed=st.floats(min_value=0.1, max_value=2.0),
+            factor=st.sampled_from([DETOUR_FACTOR, 1.0]),
+        )
+        @settings(max_examples=100, deadline=None)
+        def check(obstacles, goal, speed, factor):
+            assume(Vec2(*goal) != START)
+            got = _assert_anchors_frozen(START, Vec2(*goal), obstacles, speed, factor)
+            found.update(a is None for a in got)
+
+        check()
+        assert found == {True, False}  # both outcomes were compared
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_bundled_scenarios(self, scenario_paths, name):
+        sc = parse_scenario(str(scenario_paths[name]))
+        _assert_anchors_frozen(sc.start, sc.goal, sc.obstacles, sc.limits.v_max)
+
+    def test_corridor_doc(self):
+        sc = parse_scenario_dict(CORRIDOR_DOC)
+        _assert_anchors_frozen(sc.start, sc.goal, sc.obstacles, sc.limits.v_max)
