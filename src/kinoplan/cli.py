@@ -1,4 +1,4 @@
-"""Command-line front end: plan, simulate, render, and bench subcommands.
+"""Command-line front end: plan, simulate and render subcommands.
 
 Exit codes: 0 success, 1 I/O or input error, 2 plan failure (and simulation
 timeout), 3 collision. Set KINOPLAN_LOG=debug|info|warning|error to adjust
@@ -11,10 +11,7 @@ import json
 import logging
 import os
 import sys
-import time
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .planner import PlanFailure, plan_once, simulate_run
 from .scenario_io import (
@@ -104,33 +101,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario)
-    times = []
-    costs = []
-    for _ in range(args.repetitions):
-        tic = time.perf_counter()
-        try:
-            result = plan_once(scenario, scenario.obstacles)
-        except PlanFailure as exc:
-            print(f"bench: plan failed: {exc}", file=sys.stderr)
-            return EXIT_PLAN_FAILURE
-        times.append((time.perf_counter() - tic) * 1000.0)
-        costs.append(result.candidates[result.chosen_index].final_cost)
-    report = {
-        "scenario": args.scenario,
-        "repetitions": args.repetitions,
-        "min_ms": float(np.min(times)),
-        "mean_ms": float(np.mean(times)),
-        "p95_ms": float(np.percentile(times, 95)),
-        "max_ms": float(np.max(times)),
-        "chosen_cost": costs[0],
-        "deterministic": bool(all(c == costs[0] for c in costs)),
-    }
-    _write_text(args.output, json.dumps(report, indent=2) + "\n")
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed for detection noise")
@@ -152,12 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True, help="output SVG path")
     p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("bench", parents=[common], help="repeat plan_once and report latency stats")
-    p.add_argument("scenario")
-    p.add_argument("-n", "--repetitions", type=int, default=20)
-    p.add_argument("-o", "--output", default=None, help="output JSON path (default: stdout)")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

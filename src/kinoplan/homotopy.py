@@ -90,7 +90,6 @@ def _detour_nodes(
     start: Vec2,
     goal: Vec2,
     obstacles: Sequence[ObstacleState],
-    factor: float,
     conflict_speed: float | None,
 ) -> list[Vec2]:
     direction = goal - start
@@ -105,11 +104,11 @@ def _detour_nodes(
             if obs.velocity.norm() > 0.0 or obs.acceleration.norm() > 0.0
         ]
         anchors = dict(zip(moving, _conflict_anchors(
-            start, direction, norm, [obstacles[k] for k in moving], conflict_speed, factor
+            start, direction, norm, [obstacles[k] for k in moving], conflict_speed, DETOUR_FACTOR
         )))
     nodes = []
     for k, obs in enumerate(obstacles):
-        offset = perp.scaled(obs.safety_radius * factor)
+        offset = perp.scaled(obs.safety_radius * DETOUR_FACTOR)
         centers = [obs.position]
         anchor = anchors.get(k)
         if anchor is not None and anchor.distance_to(obs.position) > 0.1 * obs.safety_radius:
@@ -205,12 +204,9 @@ class _Search:
         goal: Vec2,
         obstacles: Sequence[ObstacleState],
         margin: float,
-        detour_factor: float,
         conflict_speed: float | None,
     ) -> None:
-        self.nodes = [start, goal] + _detour_nodes(
-            start, goal, obstacles, detour_factor, conflict_speed
-        )
+        self.nodes = [start, goal] + _detour_nodes(start, goal, obstacles, conflict_speed)
         self.coords = [p.as_tuple() for p in self.nodes]
         self.lengths = _lengths(self.coords)
         self.arrays = _ObstacleArrays(obstacles)
@@ -345,22 +341,21 @@ def enumerate_seed_paths(
     obstacles: Sequence[ObstacleState],
     max_classes: int,
     margin: float,
-    detour_factor: float = DETOUR_FACTOR,
-    max_paths: int = MAX_PATHS_EXAMINED,
     conflict_speed: float | None = None,
 ) -> list[SeedPath]:
     """Return up to ``max_classes`` shortest-class seed paths, one per homotopy class.
 
     Builds a small roadmap (start, goal, two perpendicular detour points per
-    obstacle), then enumerates loop-free roadmap paths in increasing length
-    order, deduplicating by signature. The enumeration is A*-ordered: partial
-    paths are keyed by length so far plus the straight-line distance to the
-    goal, which never overestimates because every roadmap edge is straight,
-    so complete paths still arrive shortest first. It stops after
-    ``_MAX_HEAP_POPS`` heap pops. Classes whose paths are longer than
-    ``LENGTH_CUTOFF_FACTOR`` times the shortest class are dropped: they are
-    never competitive and ballooning detours would dominate the optimization
-    budget.
+    obstacle, ``DETOUR_FACTOR`` safety radii off its center), then
+    enumerates loop-free roadmap paths in increasing length order,
+    deduplicating by signature. The enumeration is A*-ordered: partial paths
+    are keyed by length so far plus the straight-line distance to the goal,
+    which never overestimates because every roadmap edge is straight, so
+    complete paths still arrive shortest first. It stops after
+    ``MAX_PATHS_EXAMINED`` complete paths or ``_MAX_HEAP_POPS`` heap pops.
+    Classes whose paths are longer than ``LENGTH_CUTOFF_FACTOR`` times the
+    shortest class are dropped: they are never competitive and ballooning
+    detours would dominate the optimization budget.
 
     Signatures and collision checks use the obstacles at their given
     (reference-time) positions. When ``conflict_speed`` is set, the class
@@ -375,7 +370,7 @@ def enumerate_seed_paths(
     """
     if max_classes < 1:
         raise ValueError("max_classes must be >= 1")
-    search = _Search(start, goal, obstacles, margin, detour_factor, conflict_speed)
+    search = _Search(start, goal, obstacles, margin, conflict_speed)
     stream = search.complete_paths()
     ahead: deque = deque()  # complete paths popped but not yet examined
     kept: list[SeedPath] = []
@@ -407,7 +402,7 @@ def enumerate_seed_paths(
             # That pays off in calls that keep needing verdicts, so the
             # window starts at 0 and grows to 1, 3, 7 with each sweep.
             window = min(_SWEEP_AHEAD, (1 << search.sweeps) - 1)
-            while len(ahead) < window and examined + len(ahead) < max_paths:
+            while len(ahead) < window and examined + len(ahead) < MAX_PATHS_EXAMINED:
                 entry = next(stream, None)
                 if entry is None:
                     break
@@ -419,7 +414,7 @@ def enumerate_seed_paths(
             verdict = search.time_clear(path)
         return verdict
 
-    while not done() and examined < max_paths:
+    while not done() and examined < MAX_PATHS_EXAMINED:
         entry = ahead.popleft() if ahead else next(stream, None)
         if entry is None:
             break

@@ -327,10 +327,9 @@ def _evaluate_or_raise(
     obs: _ObstacleArrays,
     weights: CostWeights,
     limits: KinodynamicLimits,
-    clearance: float,
     where: str,
 ) -> _Evaluation:
-    ev = _evaluate(p, dts, obs, weights, limits, clearance)
+    ev = _evaluate(p, dts, obs, weights, limits, CLEARANCE_BUFFER)
     if ev is None:
         raise OptimizationError(f"non-finite cost {where}")
     return ev
@@ -341,15 +340,16 @@ def total_cost(
     obstacles: Sequence[ObstacleState],
     weights: CostWeights = DEFAULT_WEIGHTS,
     limits: KinodynamicLimits = DEFAULT_LIMITS,
-    clearance: float = CLEARANCE_BUFFER,
 ) -> float:
     """Scalar objective: travel time, obstacle proximity, bending, and limit violations.
 
-    Raises ``OptimizationError`` when the objective is not finite.
+    The obstacle term penalizes states closer than ``CLEARANCE_BUFFER`` to a
+    predicted safety circle. Raises ``OptimizationError`` when the objective
+    is not finite.
     """
     return _evaluate_or_raise(
         traj.positions(), traj.durations(), _ObstacleArrays(obstacles), weights, limits,
-        clearance, "in total_cost",
+        "in total_cost",
     ).cost
 
 
@@ -358,28 +358,24 @@ def cost_gradient(
     obstacles: Sequence[ObstacleState],
     weights: CostWeights = DEFAULT_WEIGHTS,
     limits: KinodynamicLimits = DEFAULT_LIMITS,
-    clearance: float = CLEARANCE_BUFFER,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient wrt interior positions ((N,2), endpoints zero) and durations ((N-1,)).
+    """Analytic gradient of ``total_cost`` (clearance ``CLEARANCE_BUFFER``) wrt
+    interior positions ((N,2), endpoints zero) and durations ((N-1,)).
 
     Raises ``OptimizationError`` when the objective is not finite.
     """
     return _gradient(_evaluate_or_raise(
         traj.positions(), traj.durations(), _ObstacleArrays(obstacles), weights, limits,
-        clearance, "in cost_gradient",
+        "in cost_gradient",
     ))
 
 
-def dynamic_weights(
-    base: CostWeights,
-    outer_iter: int,
-    growth: float = WEIGHT_GROWTH,
-    cap_factor: float = WEIGHT_CAP_FACTOR,
-) -> CostWeights:
-    """Escalate the obstacle weight geometrically across outer rounds, capped."""
+def dynamic_weights(base: CostWeights, outer_iter: int) -> CostWeights:
+    """Escalate the obstacle weight by ``WEIGHT_GROWTH`` per outer round,
+    capped at ``WEIGHT_CAP_FACTOR`` times the base weight."""
     if outer_iter < 0:
         raise ValueError("outer_iter must be >= 0")
-    w_obs = min(base.w_obstacle * growth**outer_iter, cap_factor * base.w_obstacle)
+    w_obs = min(base.w_obstacle * WEIGHT_GROWTH**outer_iter, WEIGHT_CAP_FACTOR * base.w_obstacle)
     return replace(base, w_obstacle=w_obs)
 
 
@@ -547,7 +543,6 @@ def _descend(
     obs: _ObstacleArrays,
     weights: CostWeights,
     limits: KinodynamicLimits,
-    clearance: float,
     max_inner: int,
     rel_tol: float,
     on_accept: Optional[Callable[[float, float], None]],
@@ -560,7 +555,7 @@ def _descend(
     the linear time term), so a shared step size strangles whichever block is
     momentarily free to move. Both step scales start at 0.1.
     """
-    ev = _evaluate_or_raise(p, dts, obs, weights, limits, clearance, "at descent start")
+    ev = _evaluate_or_raise(p, dts, obs, weights, limits, "at descent start")
     cost = ev.cost
     grad_p, grad_dt = _gradient(ev)
     alpha_p = alpha_dt = 0.1
@@ -572,7 +567,7 @@ def _descend(
         for _ in range(16):
             p_try = p - (theta * alpha_p) * grad_p
             dt_try = np.maximum(dts - (theta * alpha_dt) * grad_dt, DT_FLOOR)
-            trial = _evaluate(p_try, dt_try, obs, weights, limits, clearance, bound=cost)
+            trial = _evaluate(p_try, dt_try, obs, weights, limits, CLEARANCE_BUFFER, bound=cost)
             if trial is not None:
                 break
             theta *= 0.5
@@ -602,21 +597,21 @@ def optimize_candidate(
     weights: CostWeights = DEFAULT_WEIGHTS,
     limits: KinodynamicLimits = DEFAULT_LIMITS,
     density: DensityParams = DEFAULT_DENSITY,
-    clearance: float = CLEARANCE_BUFFER,
-    outer_rounds: int = OUTER_ROUNDS,
     max_inner: int = MAX_INNER_ITERS,
     rel_tol: float = REL_TOL,
     on_accept: Optional[Callable[[float, float], None]] = None,
 ) -> tuple[Trajectory, OptimizeReport]:
     """Optimize one seed path into a timed trajectory.
 
-    Alternates escalating-weight descent rounds with density adaptation, then
-    verifies the result stayed in the seed's homotopy class. The reported
-    final cost uses the base weights so candidates are comparable.
+    Alternates ``OUTER_ROUNDS`` escalating-weight descent rounds with density
+    adaptation, then verifies the result stayed in the seed's homotopy
+    class. The cost is ``total_cost``'s, with clearance ``CLEARANCE_BUFFER``.
+    The reported final cost uses the base weights so candidates are
+    comparable.
     """
     p, dts, report = optimize_arrays(
         seed, obstacles, _ObstacleArrays(obstacles), weights, limits, density,
-        clearance, outer_rounds, max_inner, rel_tol, on_accept,
+        max_inner, rel_tol, on_accept,
     )
     return _to_trajectory(p, dts), report
 
@@ -628,8 +623,6 @@ def optimize_arrays(
     weights: CostWeights = DEFAULT_WEIGHTS,
     limits: KinodynamicLimits = DEFAULT_LIMITS,
     density: DensityParams = DEFAULT_DENSITY,
-    clearance: float = CLEARANCE_BUFFER,
-    outer_rounds: int = OUTER_ROUNDS,
     max_inner: int = MAX_INNER_ITERS,
     rel_tol: float = REL_TOL,
     on_accept: Optional[Callable[[float, float], None]] = None,
@@ -640,17 +633,17 @@ def optimize_arrays(
     p, dts = _seed_arrays(seed, density.d_max, 0.5 * limits.v_max)
     iterations = 0
     converged = False
-    for outer in range(outer_rounds):
+    for outer in range(OUTER_ROUNDS):
         # step scales reset each round: escalated weights and re-spaced
         # states change the curvature landscape under the descent
         w_round = dynamic_weights(weights, outer)
         p, dts, _, n_iters, converged = _descend(
-            p, dts, obs, w_round, limits, clearance, max_inner, rel_tol, on_accept
+            p, dts, obs, w_round, limits, max_inner, rel_tol, on_accept
         )
         iterations += n_iters
         p, dts = _adapt_arrays(p, dts, density)
 
-    final_cost = _evaluate_or_raise(p, dts, obs, weights, limits, clearance, "after descent").cost
+    final_cost = _evaluate_or_raise(p, dts, obs, weights, limits, "after descent").cost
     preserved = signatures_equivalent(_windings(p.tolist(), obstacles), seed.signature)
     report = OptimizeReport(
         final_cost=final_cost,

@@ -34,7 +34,6 @@ from .optimizer import (
     optimize_arrays,
 )
 from .tracking import (
-    DEFAULT_KALMAN,
     Detection,
     KalmanTrack,
     classify_motion,

@@ -125,33 +125,35 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def kf_init(det: Detection, config: KalmanConfig = DEFAULT_KALMAN) -> KalmanTrack:
-    """Start a track from a first detection, with uninformative dynamics priors."""
+def kf_init(det: Detection) -> KalmanTrack:
+    """Start a track from a first detection, with the uninformative dynamics
+    priors of ``DEFAULT_KALMAN``."""
     state = np.array([det.position.x, det.position.y, 0.0, 0.0, 0.0, 0.0])
     sp2 = det.noise_std**2
-    cov = np.diag(
-        [sp2, sp2, config.sigma_v0**2, config.sigma_v0**2, config.sigma_a0**2, config.sigma_a0**2]
-    )
+    sv2, sa2 = DEFAULT_KALMAN.sigma_v0**2, DEFAULT_KALMAN.sigma_a0**2
+    cov = np.diag([sp2, sp2, sv2, sv2, sa2, sa2])
     return KalmanTrack(det.obstacle_id, state, cov, det.timestamp, updates=0)
 
 
-def kf_predict(track: KalmanTrack, dt: float, config: KalmanConfig = DEFAULT_KALMAN) -> KalmanTrack:
-    """Advance the track ``dt`` seconds under the constant-acceleration model."""
+def kf_predict(track: KalmanTrack, dt: float) -> KalmanTrack:
+    """Advance the track ``dt`` seconds under the constant-acceleration model,
+    with the process noise of ``DEFAULT_KALMAN``."""
     if dt <= 0.0:
         raise ValueError(f"kf_predict needs dt > 0, got {dt}")
     f = _transition(dt)
     state = f @ track.state
-    cov = _symmetrize(f @ track.covariance @ f.T + _process_noise(dt, config.process_noise))
+    cov = _symmetrize(f @ track.covariance @ f.T + _process_noise(dt, DEFAULT_KALMAN.process_noise))
     return replace(track, state=state, covariance=cov, last_update=track.last_update + dt)
 
 
-def kf_update(track: KalmanTrack, det: Detection, config: KalmanConfig = DEFAULT_KALMAN) -> KalmanTrack:
-    """Fold a position detection into the track (Joseph-form update)."""
+def kf_update(track: KalmanTrack, det: Detection) -> KalmanTrack:
+    """Fold a position detection into the track (Joseph-form update); the
+    noise is floored at ``DEFAULT_KALMAN.sigma_z_min``."""
     if det.timestamp < track.last_update - 1e-9:
         raise ValueError(
             f"stale detection at t={det.timestamp} for track updated at t={track.last_update}"
         )
-    sigma_z = max(det.noise_std, config.sigma_z_min)
+    sigma_z = max(det.noise_std, DEFAULT_KALMAN.sigma_z_min)
     r = np.diag([sigma_z**2, sigma_z**2])
     p = track.covariance
     s = _H @ p @ _H.T + r
@@ -165,41 +167,32 @@ def kf_update(track: KalmanTrack, det: Detection, config: KalmanConfig = DEFAULT
     )
 
 
-def classify_motion(
-    track: KalmanTrack,
-    v_eps: float = DEFAULT_KALMAN.v_eps,
-    a_eps: float = DEFAULT_KALMAN.a_eps,
-    min_updates: int = DEFAULT_KALMAN.min_updates,
-) -> Optional[MotionModel]:
-    """Decide the motion regime from estimated speed/acceleration magnitudes.
+def classify_motion(track: KalmanTrack) -> Optional[MotionModel]:
+    """Decide the motion regime from estimated speed/acceleration magnitudes,
+    against the thresholds ``DEFAULT_KALMAN.v_eps`` and ``DEFAULT_KALMAN.a_eps``.
 
-    Returns None while the track has fewer than ``min_updates`` measurement
-    updates (not enough evidence to classify).
+    Returns None while the track has fewer than ``DEFAULT_KALMAN.min_updates``
+    measurement updates (not enough evidence to classify).
     """
-    if track.updates < min_updates:
+    if track.updates < DEFAULT_KALMAN.min_updates:
         return None
     speed = math.hypot(float(track.state[2]), float(track.state[3]))
     accel = math.hypot(float(track.state[4]), float(track.state[5]))
-    if speed < v_eps and accel < a_eps:
+    if speed < DEFAULT_KALMAN.v_eps and accel < DEFAULT_KALMAN.a_eps:
         return MotionModel.STATIC
-    if accel < a_eps:
+    if accel < DEFAULT_KALMAN.a_eps:
         return MotionModel.CONST_VELOCITY
     return MotionModel.CONST_ACCELERATION
 
 
-def track_to_obstacle(
-    track: KalmanTrack,
-    safety_radius: float,
-    v_eps: float = DEFAULT_KALMAN.v_eps,
-    a_eps: float = DEFAULT_KALMAN.a_eps,
-    min_updates: int = DEFAULT_KALMAN.min_updates,
-) -> ObstacleState:
-    """Convert a classified track into an obstacle state for planning.
+def track_to_obstacle(track: KalmanTrack, safety_radius: float) -> ObstacleState:
+    """Convert a track classified by ``classify_motion`` into an obstacle
+    state for planning.
 
     Fields ruled out by the classified model are zeroed so downstream
     prediction honors the model exactly.
     """
-    model = classify_motion(track, v_eps, a_eps, min_updates)
+    model = classify_motion(track)
     if model is None:
         raise ValueError(f"track {track.obstacle_id} is unclassified ({track.updates} updates)")
     zero = Vec2(0.0, 0.0)

@@ -260,7 +260,9 @@ class WorkerPool:
             queue_in, queue_out = os.pipe()
             os.set_blocking(queue_in, False)
             self._fds += (queue_in, queue_out)
-        spare = _spare_cpus()
+        if len(self._workers) >= want:
+            return
+        spare = _spare_cpus()  # reads /proc, so only when a worker starts
         while len(self._workers) < want:
             try:
                 cpu = spare[len(self._workers) % len(spare)]

@@ -23,6 +23,7 @@ from kinoplan.homotopy import (
     winding_signature,
 )
 from kinoplan.optimizer import (
+    CLEARANCE_BUFFER,
     CostWeights,
     cost_gradient,
     optimize_candidate,
@@ -202,18 +203,17 @@ def test_criterion_6_gradient_check():
     weights = CostWeights(1.0, 10.0, 0.5, 5.0, 5.0)
     limits = KinodynamicLimits(0.5, 0.5)
     eps = 1e-6
-    clearance = 0.05
     tic = time.perf_counter()
     worst = 0.0
     for _ in range(100):
         traj, obstacles = random_problem(rng, n=15)
         pts = traj.positions()
         dts = traj.durations()
-        grad_p, grad_dt = cost_gradient(traj, obstacles, weights, limits, clearance)
+        grad_p, grad_dt = cost_gradient(traj, obstacles, weights, limits)
 
         def cost_of(p, d):
             return reference_cost(
-                make_traj(p.tolist(), d.tolist()), obstacles, weights, limits, clearance
+                make_traj(p.tolist(), d.tolist()), obstacles, weights, limits, CLEARANCE_BUFFER
             )
 
         fd_p = np.zeros_like(pts)

@@ -163,43 +163,3 @@ class TestRenderCommand:
         code, _, err = run_cli(capsys, "render", str(bad), "-o", str(tmp_path / "x.svg"))
         assert code == 1
         assert err != ""
-
-
-class TestBenchCommand:
-    def test_single_repetition_degenerate_stats(self, tmp_path, capsys):
-        scen = tmp_path / "tiny.json"
-        scen.write_text(json.dumps({"start": [-1.5, 0], "goal": [1.5, 0]}))
-        code, out, err = run_cli(capsys, "bench", str(scen), "-n", "1")
-        assert code == 0 and err == ""
-        report = json.loads(out)
-        assert report["min_ms"] == report["mean_ms"] == report["max_ms"]
-
-    def test_costs_deterministic_across_reps(self, tmp_path, capsys):
-        scen = tmp_path / "tiny.json"
-        scen.write_text(
-            json.dumps(
-                {
-                    "start": [-1.5, 0],
-                    "goal": [1.5, 0],
-                    "obstacles": [{"position": [0, 0], "model": "static"}],
-                }
-            )
-        )
-        code, out, _ = run_cli(capsys, "bench", str(scen), "-n", "4")
-        assert code == 0
-        assert json.loads(out)["deterministic"] is True
-
-    def test_plan_failure_exits_2(self, tmp_path, capsys):
-        scen = tmp_path / "blocked.json"
-        scen.write_text(
-            json.dumps(
-                {
-                    "start": [-1, 0],
-                    "goal": [1, 0],
-                    "obstacles": [{"position": [1, 0], "model": "static"}],
-                }
-            )
-        )
-        code, _, err = run_cli(capsys, "bench", str(scen), "-n", "2")
-        assert code == 2
-        assert err != ""

@@ -268,7 +268,7 @@ def _oracle_enumerate(start, goal, obstacles, max_classes, margin, conflict_spee
 
     Returns (seeds, capped); ``capped`` is True when it hit the pop limit.
     """
-    nodes = [start, goal] + _detour_nodes(start, goal, obstacles, DETOUR_FACTOR, conflict_speed)
+    nodes = [start, goal] + _detour_nodes(start, goal, obstacles, conflict_speed)
     n = len(nodes)
     free = [[False] * n for _ in range(n)]
     lengths = [[0.0] * n for _ in range(n)]
@@ -368,9 +368,7 @@ class TestAgainstLengthOrderedOracle:
     )
     @settings(max_examples=60, deadline=None)
     def test_free_matrix_matches_pairwise_checks(self, obstacles, margin, conflict_speed):
-        nodes = [START, GOAL] + _detour_nodes(
-            START, GOAL, obstacles, DETOUR_FACTOR, conflict_speed
-        )
+        nodes = [START, GOAL] + _detour_nodes(START, GOAL, obstacles, conflict_speed)
         lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
         free = _free_matrix(nodes, lengths, _ObstacleArrays(obstacles), margin)
         n = len(nodes)
@@ -426,7 +424,7 @@ def _frozen_enumerate(start, goal, obstacles, max_classes, margin, conflict_spee
     """Frozen copy of ``enumerate_seed_paths`` before its verdict memo and
     edge winding increments: every examined path gets its own
     ``winding_signature``, and every time check sweeps the whole path."""
-    nodes = [start, goal] + _detour_nodes(start, goal, obstacles, DETOUR_FACTOR, conflict_speed)
+    nodes = [start, goal] + _detour_nodes(start, goal, obstacles, conflict_speed)
     coords = [p.as_tuple() for p in nodes]
     lengths = [[a.distance_to(b) for b in nodes] for a in nodes]
     arrays = _ObstacleArrays(obstacles)

@@ -126,16 +126,16 @@ class TestTotalCost:
     def test_state_at_obstacle_center_hits_max_hinge(self):
         obs = [ObstacleState(Vec2(0, 0), safety_radius=0.5)]
         traj = make_traj([(-1, 0), (0, 0), (1, 0)], [4.0, 4.0])
-        got = total_cost(traj, obs, WEIGHTS, LIMITS, clearance=0.05)
-        expected_obstacle = WEIGHTS.w_obstacle * (0.5 + 0.05) ** 2
+        got = total_cost(traj, obs, WEIGHTS, LIMITS)
+        expected_obstacle = WEIGHTS.w_obstacle * (0.5 + CLEARANCE_BUFFER) ** 2
         assert got - WEIGHTS.w_time * 8.0 == pytest.approx(expected_obstacle, rel=1e-12)
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             traj, obstacles = random_problem(rng, n=10)
-            got = total_cost(traj, obstacles, WEIGHTS, LIMITS, clearance=0.05)
-            want = reference_cost(traj, obstacles, WEIGHTS, LIMITS, 0.05)
+            got = total_cost(traj, obstacles, WEIGHTS, LIMITS)
+            want = reference_cost(traj, obstacles, WEIGHTS, LIMITS, CLEARANCE_BUFFER)
             assert got == pytest.approx(want, rel=1e-9)
 
 

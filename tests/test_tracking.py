@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from kinoplan.geometry import MotionModel, ObstacleState, Vec2
 from kinoplan.tracking import (
-    DEFAULT_KALMAN,
     Detection,
-    KalmanConfig,
     classify_motion,
     kf_init,
     kf_predict,
@@ -27,7 +25,7 @@ TABLE3_OBS0 = ObstacleState(
 )
 
 
-def run_filter(true_obs, seconds, dt=0.1, noise=0.0, seed=0, config=DEFAULT_KALMAN):
+def run_filter(true_obs, seconds, dt=0.1, noise=0.0, seed=0):
     """Feed noiseless/noisy detections of a moving target into one track."""
     rng = np.random.default_rng(seed)
     track = None
@@ -38,9 +36,9 @@ def run_filter(true_obs, seconds, dt=0.1, noise=0.0, seed=0, config=DEFAULT_KALM
         z = Vec2(p.x + rng.normal(0.0, 1.0) * noise, p.y + rng.normal(0.0, 1.0) * noise)
         det = Detection(0, z, t, noise)
         if track is None:
-            track = kf_init(det, config)
+            track = kf_init(det)
         else:
-            track = kf_update(kf_predict(track, dt, config), det, config)
+            track = kf_update(kf_predict(track, dt), det)
     return track
 
 
@@ -166,7 +164,6 @@ class TestKfUpdate:
 class TestCaConvergence:
     def test_error_shrinks_and_converges(self):
         true = TABLE3_OBS0
-        rngless = KalmanConfig()
         track = None
         errors = []
         dt = 0.1
@@ -174,9 +171,7 @@ class TestCaConvergence:
             t = k * dt
             p = obstacle_at(true, t).position
             det = Detection(0, p, t, 0.0)
-            track = kf_init(det, rngless) if track is None else kf_update(
-                kf_predict(track, dt, rngless), det, rngless
-            )
+            track = kf_init(det) if track is None else kf_update(kf_predict(track, dt), det)
             truth = obstacle_at(true, t)
             err = np.array(
                 [
@@ -210,7 +205,7 @@ class TestClassification:
             Vec2(2, 0), Vec2(-0.2, -0.3), Vec2(0.03, 0.01), model=MotionModel.CONST_ACCELERATION
         )
         track = run_filter(true, 20.0)
-        assert classify_motion(track, a_eps=0.005) is MotionModel.CONST_ACCELERATION
+        assert classify_motion(track) is MotionModel.CONST_ACCELERATION
 
     def test_unclassified_below_min_updates(self):
         track = run_filter(ObstacleState(Vec2(1, 1)), 0.5)  # 5 updates

@@ -87,6 +87,16 @@ class TestWorkerPool:
         assert pool.map([0, 1, 2]) == [(i, os.getpid()) for i in range(3)]
         assert pool.pids == ()
 
+    def test_spare_cpus_looked_up_only_when_a_worker_starts(self, pool, monkeypatch):
+        use_workers(monkeypatch, 1)
+        calls = []
+        real = workers._current_cpu
+        monkeypatch.setattr(workers, "_current_cpu", lambda: calls.append(1) or real())
+        pool.map([0, 1])
+        pool.map([0, 1])
+        assert len(pool.pids) == 1
+        assert len(calls) == 1
+
     def test_too_many_items(self, pool):
         with pytest.raises(ValueError, match="at most"):
             pool.map(range(workers.MAX_ITEMS + 1))
